@@ -3,7 +3,7 @@ origin-destination flows, via hierarchical heterogeneous graph attention."""
 
 from .config import RunConfig
 from .data import Dataset, load_dataset, split_dataset, write_dataset
-from .graphs import Hierarchy, HeteroGraph, ODFlow, RoadGraph
+from .graphs import Hierarchy, ODFlow, RoadGraph
 from .model import (
     EmissionModel,
     NormStats,
@@ -24,7 +24,6 @@ __all__ = [
     "Dataset",
     "EmissionModel",
     "Hierarchy",
-    "HeteroGraph",
     "Metrics",
     "NormStats",
     "ODFlow",

@@ -80,11 +80,17 @@ def _read_rows(path: Path, problems: list[str]):
 
 
 def _parse_float(text: str, where: str, problems: list[str]) -> float:
+    """Parse one finite number.  Otherwise the problem is recorded and NaN
+    returned, which fails every later range check silently."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         problems.append(f"{where}: not a number: {text!r}")
         return float("nan")
+    if not np.isfinite(value):
+        problems.append(f"{where}: not a finite number: {text!r}")
+        return float("nan")
+    return value
 
 
 def load_dataset(directory) -> Dataset:
@@ -170,7 +176,7 @@ def load_dataset(directory) -> Dataset:
             problems.append(f"{where}: duplicate OD record {level} {origin}->{dest}")
             continue
         seen_od.add((level, origin, dest))
-        if not np.isnan(flow) and flow < 0:
+        if flow < 0:
             problems.append(f"{where}: negative flow {flow}")
             continue
         record = ODFlow(origin, dest, level, flow)
@@ -186,7 +192,7 @@ def load_dataset(directory) -> Dataset:
         if region in labels:
             problems.append(f"{where}: duplicate label for region {region}")
             continue
-        if not np.isnan(value) and value <= 0:
+        if value <= 0:
             problems.append(f"{where}: emission must be positive, got {value}")
             continue
         labels[region] = value

@@ -1,17 +1,19 @@
-"""Domain graphs: road networks, the area hierarchy, and typed area graphs.
+"""Domain graphs: road networks, the area hierarchy, and the arc structure
+of the community and region graphs.
 
 The pooling operations here move representations between hierarchy levels;
-they run on autodiff tensors so gradients flow through the coarsening.
+they run on autodiff tensors so gradients flow through the coarsening.  The
+typed-arc functions return plain index arrays, computed once per dataset.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows, hstack, mul, segment_max, segment_sum, vstack
+from .tensor import Tensor, gather_rows, hstack, mul, segment_max, segment_sum
 
 logger = logging.getLogger(__name__)
 
@@ -181,29 +183,6 @@ class ODFlow:
     flow: float
 
 
-@dataclass
-class HeteroGraph:
-    """One hierarchy level's nodes plus the two typed arc sets.
-
-    Spatial arcs are symmetric (both directions present with a shared
-    feature); OD arcs are directed and carry the raw flow scalar.
-    """
-
-    level: str
-    node_ids: list[str]
-    node_feats: Tensor
-    spatial_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    spatial_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    spatial_feats: Tensor | None = None
-    od_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    od_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    od_feats: Tensor | None = None
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_ids)
-
-
 # ---------------------------------------------------------------------------
 # pooling between levels
 
@@ -244,147 +223,75 @@ def pool_internal_edges(
     src = np.asarray(arc_src, dtype=np.int64)
     dst = np.asarray(arc_dst, dtype=np.int64)
     internal = np.flatnonzero(groups[src] == groups[dst])
-    if internal.size == 0:
-        if phi not in ("mean", "sum", "max"):
-            raise ValueError(f"unknown pooling function {phi!r} (expected mean, sum or max)")
-        return Tensor(np.zeros((n_groups, edge_reps.shape[1])))
     rows = gather_rows(edge_reps, internal)
     return _reduce(phi, rows, groups[src[internal]], n_groups)
 
 
-def pool_cross_edges(
-    phi: str,
-    edge_reps: Tensor,
-    arc_src,
-    arc_dst,
-    groups,
-    pair: tuple[int, int],
-) -> Tensor:
-    """Reduce arcs crossing between the two groups (both directions) to one row."""
-    groups = np.asarray(groups, dtype=np.int64)
-    src = np.asarray(arc_src, dtype=np.int64)
-    dst = np.asarray(arc_dst, dtype=np.int64)
-    a, b = pair
-    gs, gd = groups[src], groups[dst]
-    crossing = np.flatnonzero(((gs == a) & (gd == b)) | ((gs == b) & (gd == a)))
-    if crossing.size == 0:
-        raise ValueError(f"pool_cross_edges: no arc crosses group pair ({a}, {b})")
-    rows = gather_rows(edge_reps, crossing)
-    return _reduce(phi, rows, np.zeros(crossing.size, dtype=np.int64), 1)
+def community_spatial_arcs(arc_src, arc_dst, groups):
+    """Spatial arcs of a community graph, derived from its road arcs.
 
-
-def crossing_pairs(arc_src, arc_dst, groups) -> list[tuple[int, int]]:
-    """Sorted distinct group pairs (a < b) joined by at least one arc."""
+    Returns ``(spatial_src, spatial_dst, cross_arc_idx, cross_arc_pair,
+    n_pairs)``.  Group pairs (a < b) joined by at least one crossing arc are
+    sorted and each emitted as a -> b then b -> a.  ``cross_arc_idx`` lists
+    the crossing road arcs pair by pair, ascending within a pair, and
+    ``cross_arc_pair`` gives each one's pair index.
+    """
     groups = np.asarray(groups, dtype=np.int64)
     gs = groups[np.asarray(arc_src, dtype=np.int64)]
     gd = groups[np.asarray(arc_dst, dtype=np.int64)]
-    mask = gs != gd
-    lo = np.minimum(gs[mask], gd[mask])
-    hi = np.maximum(gs[mask], gd[mask])
-    pairs = sorted(set(zip(lo.tolist(), hi.tolist())))
-    return pairs
+    crossing = np.flatnonzero(gs != gd)
+    n_groups = int(groups.max()) + 1 if groups.size else 1
+    lo = np.minimum(gs[crossing], gd[crossing])
+    hi = np.maximum(gs[crossing], gd[crossing])
+    keys, pair_of = np.unique(lo * n_groups + hi, return_inverse=True)
+    order = np.argsort(pair_of, kind="stable")
+    pairs = np.stack([keys // n_groups, keys % n_groups], axis=1)
+    return (
+        pairs.ravel(),
+        pairs[:, ::-1].ravel(),
+        crossing[order],
+        pair_of[order].astype(np.int64),
+        len(keys),
+    )
 
 
-# ---------------------------------------------------------------------------
-# typed area graph construction
+def adjacency_arcs(pairs, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric spatial arcs from undirected area pairs, sorted by (a < b)
+    and emitted as a -> b then b -> a; self-pairs and repeats collapse."""
+    keys = set()
+    for a_id, b_id in pairs:
+        for area in (a_id, b_id):
+            if area not in index:
+                raise ValueError(f"adjacency record references unknown area {area}")
+        a, b = index[a_id], index[b_id]
+        if a != b:
+            keys.add((min(a, b), max(a, b)))
+    arcs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
+    return arcs.ravel(), arcs[:, ::-1].ravel()
 
 
-def build_hetero_graph(
-    level: str,
-    node_ids: list[str],
-    node_feats: Tensor,
-    *,
-    od_flows=(),
-    min_flow: float = 0.0,
-    groups=None,
-    arc_src=None,
-    arc_dst=None,
-    edge_reps: Tensor | None = None,
-    adjacency=(),
-    adjacency_feat_dim: int = 1,
-    phi: str = "mean",
-) -> HeteroGraph:
-    """Assemble one level's heterogeneous graph.
-
-    Community level: pass ``groups``/``arc_src``/``arc_dst``/``edge_reps`` from
-    the underlying road graph; a spatial link is created per area pair joined
-    by at least one crossing segment, with the pooled crossing-arc feature.
-
-    Region level: pass ``adjacency`` records (pairs of area ids); spatial link
-    features default to zero vectors of ``adjacency_feat_dim``.
-
-    OD links are directed, one per record with flow above ``min_flow``.
-    """
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-    if node_feats.shape[0] != n:
-        raise ValueError(
-            f"node feature rows ({node_feats.shape[0]}) do not match area count ({n})"
-        )
-
-    if edge_reps is not None:
-        pairs = crossing_pairs(arc_src, arc_dst, groups)
-        if pairs:
-            pooled = [
-                pool_cross_edges(phi, edge_reps, arc_src, arc_dst, groups, p)
-                for p in pairs
-            ]
-            pair_feats = vstack(pooled) if len(pooled) > 1 else pooled[0]
-            spatial_src = np.array([x for a, b in pairs for x in (a, b)], dtype=np.int64)
-            spatial_dst = np.array([x for a, b in pairs for x in (b, a)], dtype=np.int64)
-            spatial_feats = gather_rows(pair_feats, np.repeat(np.arange(len(pairs)), 2))
-        else:
-            spatial_src = np.zeros(0, dtype=np.int64)
-            spatial_dst = np.zeros(0, dtype=np.int64)
-            spatial_feats = Tensor(np.zeros((0, edge_reps.shape[1])))
-    else:
-        seen_pairs = set()
-        arcs = []
-        for a_id, b_id in adjacency:
-            if a_id not in index or b_id not in index:
-                missing = a_id if a_id not in index else b_id
-                raise ValueError(f"adjacency record references unknown area {missing}")
-            a, b = index[a_id], index[b_id]
-            key = (min(a, b), max(a, b))
-            if a == b or key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            arcs.append(key)
-        arcs.sort()
-        spatial_src = np.array([x for a, b in arcs for x in (a, b)], dtype=np.int64)
-        spatial_dst = np.array([x for a, b in arcs for x in (b, a)], dtype=np.int64)
-        spatial_feats = Tensor(np.zeros((len(arcs) * 2, adjacency_feat_dim)))
-
-    od_src_list, od_dst_list, flows = [], [], []
-    seen_od = set()
-    for record in od_flows:
-        origin, dest, flow = record.origin, record.dest, record.flow
-        if origin not in index:
-            raise ValueError(f"OD record references unknown area {origin}")
-        if dest not in index:
-            raise ValueError(f"OD record references unknown area {dest}")
+def od_arcs(records, index: dict[str, int], min_flow: float = 0.0):
+    """Directed OD arcs ``(src, dst, flow)``, one per record with flow above
+    ``min_flow``.  Unknown areas, self-loops and repeated pairs are errors:
+    in-memory datasets reach here without passing the CSV loader."""
+    src, dst, flows = [], [], []
+    seen = set()
+    for record in records:
+        origin, dest = record.origin, record.dest
+        for area in (origin, dest):
+            if area not in index:
+                raise ValueError(f"OD record references unknown area {area}")
         if origin == dest:
             raise ValueError(f"OD record with identical origin and destination {origin}")
-        if (origin, dest) in seen_od:
+        if (origin, dest) in seen:
             raise ValueError(f"duplicate OD record {origin} -> {dest}")
-        seen_od.add((origin, dest))
-        if flow <= min_flow:
+        seen.add((origin, dest))
+        if record.flow <= min_flow:
             continue
-        od_src_list.append(index[origin])
-        od_dst_list.append(index[dest])
-        flows.append(flow)
-
-    return HeteroGraph(
-        level=level,
-        node_ids=list(node_ids),
-        node_feats=node_feats,
-        spatial_src=spatial_src,
-        spatial_dst=spatial_dst,
-        spatial_feats=spatial_feats,
-        od_src=np.array(od_src_list, dtype=np.int64),
-        od_dst=np.array(od_dst_list, dtype=np.int64),
-        od_feats=Tensor(np.array(flows).reshape(-1, 1)),
-    )
+        src.append(index[origin])
+        dst.append(index[dest])
+        flows.append(record.flow)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(flows)
 
 
 def community_node_features(

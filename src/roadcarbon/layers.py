@@ -6,6 +6,10 @@ destination's incoming arcs, and sums the attention-weighted transformed
 source features.  Self-loops with zero-vector arc features are appended
 internally so isolated nodes keep their own transformed signal; they do
 not appear in the updated arc features.
+
+Arc features are updated from the same triple for the next layer to
+consume.  The terminal layer of a stack whose arcs nothing reads carries
+no arc updater (``EgatParams.A`` is None) and returns None for its arcs.
 """
 
 from __future__ import annotations
@@ -37,26 +41,29 @@ class EgatParams:
     """Weights of one convolution layer.
 
     W transforms source nodes, U and a score the concatenated arc triple,
-    A produces the updated arc feature from the same triple.
+    A produces the updated arc feature from the same triple; a layer whose
+    updated arcs nothing reads has no A (``d_e_out=None``).
     """
 
     W: Parameter  # d_in x d_out
     U: Parameter  # (2*d_in + d_e) x d_att
     a: Parameter  # d_att x 1
-    A: Parameter  # (2*d_in + d_e) x d_e_out
+    A: Parameter | None  # (2*d_in + d_e) x d_e_out
 
     @staticmethod
-    def create(prefix: str, d_in: int, d_e: int, d_out: int, d_e_out: int, d_att: int, rng) -> "EgatParams":
+    def create(
+        prefix: str, d_in: int, d_e: int, d_out: int, d_e_out: int | None, d_att: int, rng
+    ) -> "EgatParams":
         cat = 2 * d_in + d_e
         return EgatParams(
             W=xavier_uniform(f"{prefix}.W", (d_in, d_out), rng),
             U=xavier_uniform(f"{prefix}.U", (cat, d_att), rng),
             a=xavier_uniform(f"{prefix}.a", (d_att, 1), rng),
-            A=xavier_uniform(f"{prefix}.A", (cat, d_e_out), rng),
+            A=None if d_e_out is None else xavier_uniform(f"{prefix}.A", (cat, d_e_out), rng),
         )
 
     def parameters(self) -> list[Parameter]:
-        return [self.W, self.U, self.a, self.A]
+        return [self.W, self.U, self.a] + ([self.A] if self.A is not None else [])
 
     @property
     def d_in(self) -> int:
@@ -108,41 +115,38 @@ def egat_layer(
     arc_src,
     arc_dst,
     params: EgatParams,
-) -> tuple[Tensor, Tensor, AttentionRecord]:
-    """One convolution: returns updated nodes, updated arcs, attention record."""
+) -> tuple[Tensor, Tensor | None, AttentionRecord]:
+    """One convolution: returns updated nodes, updated arcs (None without an
+    arc updater), attention record.
+
+    A graph without arcs takes the same path with zero-row arc tensors, so
+    every parameter of the layer still receives a (zero) gradient.
+    """
     n = V.shape[0]
     src = np.asarray(arc_src, dtype=np.int64)
     dst = np.asarray(arc_dst, dtype=np.int64)
-    m = src.shape[0]
     d_e = params.d_e
     if V.shape[1] != params.d_in:
         raise ValueError(f"node width {V.shape[1]} does not match layer d_in {params.d_in}")
-    if m and E.shape[1] != d_e:
-        raise ValueError(f"arc width {E.shape[1]} does not match layer d_e {d_e}")
+    if E.shape != (src.shape[0], d_e):
+        raise ValueError(
+            f"arc features {E.shape} do not match {src.shape[0]} arcs of width {d_e}"
+        )
 
     loop_idx = np.arange(n, dtype=np.int64)
-    zero_loop_feats = Tensor(np.zeros((n, d_e)))
-    cat_self = hstack([V, zero_loop_feats, V])
-
-    if m:
-        src_feats = gather_rows(V, src)
-        dst_feats = gather_rows(V, dst)
-        cat_real = hstack([dst_feats, E, src_feats])
-        cat_full = vstack([cat_real, cat_self])
-        full_dst = np.concatenate([dst, loop_idx])
-        E_out = matmul(cat_real, params.A.tensor)
-    else:
-        src_feats = None
-        cat_full = cat_self
-        full_dst = loop_idx
-        E_out = Tensor(np.zeros((0, params.A.values.shape[1])))
+    cat_self = hstack([V, Tensor(np.zeros((n, d_e))), V])
+    src_feats = gather_rows(V, src)
+    cat_real = hstack([gather_rows(V, dst), E, src_feats])
+    cat_full = vstack([cat_real, cat_self])
+    full_dst = np.concatenate([dst, loop_idx])
+    E_out = None if params.A is None else matmul(cat_real, params.A.tensor)
 
     scores = leaky_relu(matmul(matmul(cat_full, params.U.tensor), params.a.tensor), LEAKY_SLOPE)
     alpha = segment_softmax(scores, full_dst, n)
-    sources = vstack([src_feats, V]) if m else V  # rows follow full_src
+    sources = vstack([src_feats, V])  # rows follow full_src
     V_out = segment_sum(mul(matmul(sources, params.W.tensor), alpha), full_dst, n)
 
-    record = AttentionRecord(arc_alpha=alpha.values.copy(), arc_dst=full_dst)
+    record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)
     return V_out, E_out, record
 
 
@@ -179,7 +183,7 @@ def attention_fusion(
         out = term if out is None else add(out, term)
 
     record = AttentionRecord(
-        beta=beta.values.reshape(n_tags, n).T.copy(),
+        beta=beta.values.reshape(n_tags, n).T,
         tags=tuple(tag for tag, _ in inputs),
     )
     return out, record
@@ -195,7 +199,7 @@ def hetero_layer(
     V: Tensor,
     typed_arcs: list[tuple[str, np.ndarray, np.ndarray, Tensor, EgatParams]],
     fusion: FusionParams,
-) -> tuple[Tensor, dict[str, Tensor], HeteroLayerRecord]:
+) -> tuple[Tensor, dict[str, Tensor | None], HeteroLayerRecord]:
     """Propagate independently per arc type, then fuse the per-type outputs.
 
     ``typed_arcs`` entries are (tag, src, dst, arc_feats, params).  With a
@@ -205,7 +209,7 @@ def hetero_layer(
     if not typed_arcs:
         raise ValueError("hetero_layer needs at least one arc type")
     outs: list[tuple[str, Tensor]] = []
-    new_edges: dict[str, Tensor] = {}
+    new_edges: dict[str, Tensor | None] = {}
     per_type: dict[str, AttentionRecord] = {}
     for tag, src, dst, feats, params in typed_arcs:
         v_out, e_out, rec = egat_layer(V, feats, src, dst, params)
@@ -228,8 +232,9 @@ def stack_egat(
     arc_src,
     arc_dst,
     layer_params: list[EgatParams],
-) -> tuple[Tensor, Tensor, list[AttentionRecord]]:
-    """Sequential convolutions on one homogeneous graph; arc features chain."""
+) -> tuple[Tensor, Tensor | None, list[AttentionRecord]]:
+    """Sequential convolutions on one homogeneous graph; arc features chain.
+    The returned arcs are None when the last layer has no arc updater."""
     if not layer_params:
         raise ValueError("stack_egat needs at least one layer")
     records = []
@@ -247,7 +252,7 @@ def stack_hetero(
 ) -> tuple[Tensor, list[HeteroLayerRecord]]:
     """Sequential heterogeneous layers; each consumes the previous layer's
     node output and per-type arc outputs.  Fusion weights are shared across
-    the stack (one site)."""
+    the stack (one site).  Only the last layer may lack arc updaters."""
     if not layer_params:
         raise ValueError("stack_hetero needs at least one layer")
     feats = {tag: f for tag, _, _, f in typed_arcs}

@@ -12,7 +12,6 @@ through its full hierarchy while neighbors act as constants.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +23,10 @@ from .graphs import (
     EDGE_FEATURE_DIM,
     NODE_FEATURE_DIM,
     ODFlow,
-    build_hetero_graph,
+    adjacency_arcs,
     community_node_features,
+    community_spatial_arcs,
+    od_arcs,
     pool_nodes,
 )
 from .layers import (
@@ -40,7 +41,7 @@ from .layers import (
 from .optim import Parameter, check_unique_names, xavier_uniform, zeros
 from .tensor import Tensor, add, gather_rows, leaky_relu, matmul, no_grad, vstack
 
-CHECKPOINT_FORMAT = "hence-v1"
+CHECKPOINT_FORMAT = "hence-v2"  # v2: no arc updater on a stack's last layer when unread
 
 REGION_SPATIAL_FEAT_DIM = 1  # zero-vector stand-in; no cross-region segments exist
 
@@ -168,7 +169,6 @@ class PreparedRegion:
     arc_dst: np.ndarray
     groups: np.ndarray
     community_ids: list[str]
-    od_records: list[ODFlow]
     label_norm: float
     label_raw: float
     spatial_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -206,8 +206,6 @@ class RegionEgo:
 class PreparedData:
     regions: dict[str, PreparedRegion]
     region_ids: list[str]
-    adjacency: list[tuple[str, str]]
-    region_od: list[ODFlow]
     stats: NormStats
     region_spatial_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     region_spatial_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -254,33 +252,10 @@ def prepare_dataset(
             ],
             dtype=np.int64,
         )
-        # structure discovery and OD validation via the canonical builder
-        skeleton = build_hetero_graph(
-            "community",
-            communities,
-            Tensor(np.zeros((len(communities), 1))),
-            groups=groups,
-            arc_src=graph.arc_src,
-            arc_dst=graph.arc_dst,
-            edge_reps=Tensor(np.zeros((len(graph.arc_src), 1))),
-            od_flows=by_region_od[region_id],
-            min_flow=min_flow,
+        spatial_src, spatial_dst, cross_arc_idx, cross_arc_pair, n_pairs = (
+            community_spatial_arcs(graph.arc_src, graph.arc_dst, groups)
         )
-        pairs = list(zip(skeleton.spatial_src[::2].tolist(), skeleton.spatial_dst[::2].tolist()))
-        gs, gd = groups[graph.arc_src], groups[graph.arc_dst]
-        idx_chunks, pair_chunks = [], []
-        for p, (a, b) in enumerate(pairs):
-            crossing = np.flatnonzero(((gs == a) & (gd == b)) | ((gs == b) & (gd == a)))
-            idx_chunks.append(crossing)
-            pair_chunks.append(np.full(crossing.size, p, dtype=np.int64))
-        cross_arc_idx = (
-            np.concatenate(idx_chunks) if idx_chunks else np.zeros(0, dtype=np.int64)
-        )
-        cross_arc_pair = (
-            np.concatenate(pair_chunks) if pair_chunks else np.zeros(0, dtype=np.int64)
-        )
-
-        flows = skeleton.od_feats.values
+        od_src, od_dst, flows = od_arcs(by_region_od[region_id], community_index, min_flow)
         regions[region_id] = PreparedRegion(
             region_id=region_id,
             node_feats=Tensor((graph.node_feats - stats.node_mean) / stats.node_std),
@@ -289,47 +264,36 @@ def prepare_dataset(
             arc_dst=graph.arc_dst,
             groups=groups,
             community_ids=communities,
-            od_records=by_region_od[region_id],
             label_norm=stats.normalize_label(dataset.labels[region_id]),
             label_raw=dataset.labels[region_id],
-            spatial_src=skeleton.spatial_src,
-            spatial_dst=skeleton.spatial_dst,
+            spatial_src=spatial_src,
+            spatial_dst=spatial_dst,
             cross_arc_idx=cross_arc_idx,
             cross_arc_pair=cross_arc_pair,
-            n_cross_pairs=len(pairs),
-            pair_gather=np.repeat(np.arange(len(pairs), dtype=np.int64), 2),
-            od_src=skeleton.od_src,
-            od_dst=skeleton.od_dst,
+            n_cross_pairs=n_pairs,
+            pair_gather=np.repeat(np.arange(n_pairs, dtype=np.int64), 2),
+            od_src=od_src,
+            od_dst=od_dst,
             od_zflow=Tensor(
                 _zscore_log_flow(flows, stats.community_flow_mean, stats.community_flow_std)
             ),
         )
 
-    region_skeleton = build_hetero_graph(
-        "region",
-        dataset.region_ids,
-        Tensor(np.zeros((len(dataset.region_ids), 1))),
-        adjacency=dataset.region_adjacency,
-        adjacency_feat_dim=REGION_SPATIAL_FEAT_DIM,
-        od_flows=dataset.region_od,
-        min_flow=min_flow,
-    )
-    region_od_zflow = _zscore_log_flow(
-        region_skeleton.od_feats.values, stats.region_flow_mean, stats.region_flow_std
-    )
+    region_index = {r: i for i, r in enumerate(dataset.region_ids)}
+    spatial_src, spatial_dst = adjacency_arcs(dataset.region_adjacency, region_index)
+    od_src, od_dst, flows = od_arcs(dataset.region_od, region_index, min_flow)
+    region_od_zflow = _zscore_log_flow(flows, stats.region_flow_mean, stats.region_flow_std)
     prepared = PreparedData(
         regions=regions,
         region_ids=dataset.region_ids,
-        adjacency=dataset.region_adjacency,
-        region_od=dataset.region_od,
         stats=stats,
-        region_spatial_src=region_skeleton.spatial_src,
-        region_spatial_dst=region_skeleton.spatial_dst,
-        region_spatial_feats=region_skeleton.spatial_feats,
-        region_od_src=region_skeleton.od_src,
-        region_od_dst=region_skeleton.od_dst,
+        region_spatial_src=spatial_src,
+        region_spatial_dst=spatial_dst,
+        region_spatial_feats=Tensor(np.zeros((spatial_src.size, REGION_SPATIAL_FEAT_DIM))),
+        region_od_src=od_src,
+        region_od_dst=od_dst,
         region_od_zflow=Tensor(region_od_zflow),
-        _region_index={r: i for i, r in enumerate(dataset.region_ids)},
+        _region_index=region_index,
     )
     prepared.egos = _build_region_egos(prepared, region_od_zflow, hops)
     prepared.ego_hops = hops
@@ -430,13 +394,18 @@ class EmissionModel:
         self.use_community = ablation != "no_community_level"
         self.use_region = ablation != "no_region_level"
 
+        def arc_width(i: int, depth: int, read_after: bool = False) -> int | None:
+            """Width of layer i's updated arcs; None (no arc updater) for a
+            stack's last layer when nothing after the stack reads its arcs."""
+            return d if i + 1 < depth or read_after else None
+
         self.road_layers = [
             EgatParams.create(
                 f"road.{i}",
                 d_in=NODE_FEATURE_DIM if i == 0 else d,
                 d_e=EDGE_FEATURE_DIM if i == 0 else d,
                 d_out=d,
-                d_e_out=d,
+                d_e_out=arc_width(i, config.layers_road, read_after=self.use_community),
                 d_att=d,
                 rng=rng,
             )
@@ -455,13 +424,14 @@ class EmissionModel:
             for i in range(config.layers):
                 layer: dict[str, EgatParams] = {}
                 d_in = 2 * d if i == 0 else d
+                e_out = arc_width(i, config.layers)
                 if self.use_spatial:
                     layer["rn"] = EgatParams.create(
-                        f"community.{i}.rn", d_in, d_e=d, d_out=d, d_e_out=d, d_att=d, rng=rng
+                        f"community.{i}.rn", d_in, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
                     )
                 if self.use_od:
                     layer["od"] = EgatParams.create(
-                        f"community.{i}.od", d_in, d_e=d, d_out=d, d_e_out=d, d_att=d, rng=rng
+                        f"community.{i}.od", d_in, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
                     )
                 self.community_layers.append(layer)
             if self.use_spatial and self.use_od:
@@ -479,19 +449,20 @@ class EmissionModel:
                 )
             for i in range(config.layers):
                 layer = {}
+                e_out = arc_width(i, config.layers)
                 if self.use_spatial:
                     layer["rn"] = EgatParams.create(
                         f"region.{i}.rn",
                         d,
                         d_e=REGION_SPATIAL_FEAT_DIM if i == 0 else d,
                         d_out=d,
-                        d_e_out=d,
+                        d_e_out=e_out,
                         d_att=d,
                         rng=rng,
                     )
                 if self.use_od:
                     layer["od"] = EgatParams.create(
-                        f"region.{i}.od", d, d_e=d, d_out=d, d_e_out=d, d_att=d, rng=rng
+                        f"region.{i}.od", d, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
                     )
                 self.region_layers.append(layer)
             if self.use_spatial and self.use_od:
@@ -563,12 +534,9 @@ class EmissionModel:
         if self.use_spatial:
             # pooled connector-segment features, one row per crossing pair,
             # duplicated onto the symmetric arc pair
-            if prep.n_cross_pairs:
-                crossing = gather_rows(e_road, prep.cross_arc_idx)
-                pair_feats = pool_nodes(phi, crossing, prep.cross_arc_pair, prep.n_cross_pairs)
-                spatial_feats = gather_rows(pair_feats, prep.pair_gather)
-            else:
-                spatial_feats = Tensor(np.zeros((0, e_road.shape[1])))
+            crossing = gather_rows(e_road, prep.cross_arc_idx)
+            pair_feats = pool_nodes(phi, crossing, prep.cross_arc_pair, prep.n_cross_pairs)
+            spatial_feats = gather_rows(pair_feats, prep.pair_gather)
             typed.append(("rn", prep.spatial_src, prep.spatial_dst, spatial_feats))
         if self.use_od:
             typed.append(
@@ -662,32 +630,18 @@ def set_ablation(model: EmissionModel, variant: str) -> EmissionModel:
 
 
 def refresh_region_cache(
-    model: EmissionModel,
-    prepared: PreparedData,
-    epoch: int,
-    parallel: bool = False,
+    model: EmissionModel, prepared: PreparedData, epoch: int
 ) -> RegionCache:
     """Snapshot every region's intra vector under frozen current parameters.
 
-    Entries are plain arrays with no compute-graph history.  Regions are
-    independent, so the refresh may fan out over threads.
+    Entries are plain arrays with no compute-graph history.
     """
-    ids = prepared.region_ids
     with no_grad():
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                reps = list(
-                    pool.map(
-                        lambda rid: model.intra_representation(prepared.regions[rid]).values.copy(),
-                        ids,
-                    )
-                )
-        else:
-            reps = [
-                model.intra_representation(prepared.regions[rid]).values.copy()
-                for rid in ids
-            ]
-    return RegionCache(epoch=epoch, reps=dict(zip(ids, reps)))
+        reps = {
+            rid: model.intra_representation(prepared.regions[rid]).values.copy()
+            for rid in prepared.region_ids
+        }
+    return RegionCache(epoch=epoch, reps=reps)
 
 
 # ---------------------------------------------------------------------------

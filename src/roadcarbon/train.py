@@ -89,6 +89,27 @@ class TrainResult:
         return self.epoch_log[-1]["train_mse"] if self.epoch_log else float("nan")
 
 
+def _train_step(
+    model: EmissionModel,
+    prepared: PreparedData,
+    batch: list[str],
+    cache: RegionCache | None,
+    opt: Adam,
+) -> float:
+    """One Adam step on one minibatch; returns the batch MSE.
+
+    The step's compute graph is released on return, before the next
+    batch's forward pass is built.
+    """
+    preds = vstack([model.predict_region(prepared, rid, cache) for rid in batch])
+    targets = Tensor(np.array([prepared.regions[r].label_norm for r in batch]).reshape(-1, 1))
+    loss = mse_loss(preds, targets)
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    return float(loss.values[0, 0])
+
+
 def train(
     model: EmissionModel,
     prepared: PreparedData,
@@ -135,21 +156,9 @@ def train(
         count = 0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            preds = vstack([model.predict_region(prepared, rid, cache) for rid in batch])
-            targets = Tensor(
-                np.array([prepared.regions[r].label_norm for r in batch]).reshape(-1, 1)
-            )
-            loss = mse_loss(preds, targets)
-            opt.zero_grad()
-            backward(loss)
-            for p in params:
-                # e.g. the terminal hetero layer's edge updater feeds nothing,
-                # so its exact gradient is zero
-                if p.tensor.grad is None:
-                    p.tensor.grad = np.zeros_like(p.values)
-            opt.step()
+            batch_mse = _train_step(model, prepared, batch, cache, opt)
             steps += 1
-            sq_err_sum += loss.values[0, 0] * len(batch)
+            sq_err_sum += batch_mse * len(batch)
             count += len(batch)
             if instrument and cache is not None:
                 fingerprints.append((epoch, cache.fingerprint()))

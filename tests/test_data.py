@@ -66,12 +66,29 @@ def test_unknown_od_community_cites_row(tmp_path):
         load_dataset(path)
 
 
-def test_malformed_number_cites_line(tmp_path):
-    path = write_minimal(
-        tmp_path, **{"labels.csv": "region_id,emission_tco2\nr0,abc\n"}
-    )
-    with pytest.raises(DatasetError, match=r"labels.csv:2: not a number"):
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("labels.csv", "region_id,emission_tco2\nr0,abc\n", "labels.csv:2: not a number"),
+        ("labels.csv", "region_id,emission_tco2\nr0,nan\n", "labels.csv:2: not a finite number"),
+        (
+            "edges.csv",
+            "node_u,node_v,rel_lon,rel_lat,length_km,road_class\nn0,n1,0.5,0.5,nan,primary\n",
+            "edges.csv:2: not a finite number",
+        ),
+        (
+            "od.csv",
+            "level,origin_id,dest_id,flow\ncommunity,c0,c1,inf\n",
+            "od.csv:2: not a finite number",
+        ),
+    ],
+    ids=["abc-label", "nan-label", "nan-length", "inf-flow"],
+)
+def test_malformed_number_cites_line(tmp_path, name, content, message):
+    path = write_minimal(tmp_path, **{name: content})
+    with pytest.raises(DatasetError, match=message) as exc:
         load_dataset(path)
+    assert len(str(exc.value).splitlines()) == 2  # the header line plus this one problem
 
 
 def test_violations_collected_together(tmp_path):

@@ -5,15 +5,15 @@ from roadcarbon.graphs import (
     GraphValidationError,
     Hierarchy,
     ODFlow,
-    build_hetero_graph,
+    adjacency_arcs,
     build_road_graph,
     community_node_features,
-    crossing_pairs,
-    pool_cross_edges,
+    community_spatial_arcs,
+    od_arcs,
     pool_internal_edges,
     pool_nodes,
 )
-from roadcarbon.tensor import Tensor
+from roadcarbon.tensor import Tensor, gather_rows
 
 
 def seg(u, v, length=1.0, cls="primary", lon=0.5, lat=0.5):
@@ -132,32 +132,61 @@ def test_pool_internal_matches_brute_force():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def pool_cross(phi, edge_reps, arc_src, arc_dst, groups):
+    """Pooled crossing-arc feature per spatial arc, as the community level forms it."""
+    _, _, idx, pair, n_pairs = community_spatial_arcs(arc_src, arc_dst, groups)
+    pooled = pool_nodes(phi, gather_rows(edge_reps, idx), pair, n_pairs)
+    return gather_rows(pooled, np.repeat(np.arange(n_pairs), 2))
+
+
 def test_pool_cross_edges_single_and_mean():
     edge_reps = Tensor([[2.0, 0.0], [4.0, 2.0]])
-    out = pool_cross_edges("mean", edge_reps, [0, 1], [1, 0], [0, 1], (0, 1))
-    assert np.allclose(out.values, [[3.0, 1.0]])
-    single = pool_cross_edges("mean", Tensor([[5.0]]), [0], [1], [0, 1], (0, 1))
-    assert single.values[0, 0] == 5.0
+    out = pool_cross("mean", edge_reps, [0, 1], [1, 0], [0, 1])
+    assert np.allclose(out.values, [[3.0, 1.0], [3.0, 1.0]])
+    single = pool_cross("mean", Tensor([[5.0]]), [0], [1], [0, 1])
+    assert single.values.tolist() == [[5.0], [5.0]]
 
 
 def test_pool_cross_edges_requires_crossing_arc():
-    with pytest.raises(ValueError, match="no arc crosses"):
-        pool_cross_edges("mean", Tensor([[1.0]]), [0], [1], [0, 0], (0, 1))
+    # an arc inside one group links no pair: no spatial arc, nothing pooled
+    src, dst, idx, pair, n_pairs = community_spatial_arcs([0], [1], [0, 0])
+    assert n_pairs == 0
+    assert src.size == dst.size == idx.size == pair.size == 0
+    assert pool_cross("mean", Tensor([[1.0]]), [0], [1], [0, 0]).shape == (0, 1)
+
+
+def brute_force_crossings(src, dst, groups):
+    """Per pair (a < b), sorted: the ascending crossing arcs in either direction."""
+    pairs = sorted(
+        {(min(groups[s], groups[d]), max(groups[s], groups[d])) for s, d in zip(src, dst)
+         if groups[s] != groups[d]}
+    )
+    return pairs, [
+        [k for k, (s, d) in enumerate(zip(src, dst)) if {groups[s], groups[d]} == {a, b}]
+        for a, b in pairs
+    ]
 
 
 def test_pool_cross_matches_brute_force():
     rng = np.random.default_rng(3)
-    n, m = 10, 40
-    src = rng.integers(0, n, size=m)
-    dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
-    groups = (rng.random(n) < 0.5).astype(int)
-    groups[0], groups[1] = 0, 1
-    reps = rng.normal(size=(m, 3))
-    mask = groups[src] != groups[dst]
-    if not mask.any():
-        pytest.skip("random bipartition produced no crossing arc")
-    got = pool_cross_edges("mean", Tensor(reps), src, dst, groups, (0, 1)).values
-    assert np.allclose(got, reps[mask].mean(axis=0), atol=1e-12)
+    for trial in range(5):
+        n, m = 12, 40
+        src = rng.integers(0, n, size=m)
+        dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
+        groups = rng.integers(0, 4, size=n)
+        reps = rng.normal(size=(m, 3))
+        pairs, members = brute_force_crossings(src.tolist(), dst.tolist(), groups.tolist())
+
+        sp_src, sp_dst, idx, pair, n_pairs = community_spatial_arcs(src, dst, groups)
+        assert n_pairs == len(pairs)
+        assert sp_src.tolist() == [x for a, b in pairs for x in (a, b)]
+        assert sp_dst.tolist() == [x for a, b in pairs for x in (b, a)]
+        assert idx.tolist() == [k for arcs in members for k in arcs]
+        assert pair.tolist() == [p for p, arcs in enumerate(members) for _ in arcs]
+
+        got = pool_cross("mean", Tensor(reps), src, dst, groups).values
+        want = np.repeat([reps[arcs].mean(axis=0) for arcs in members], 2, axis=0)
+        assert np.allclose(got, want.reshape(-1, 3), atol=1e-12), trial
 
 
 def test_hierarchy_validation():
@@ -174,81 +203,66 @@ def test_build_hetero_graph_community_mode():
     # segment arcs: (0,1) within c0; (1,2) crossing c0-c1
     src, dst = [0, 1, 1, 2], [1, 0, 2, 1]
     groups = [0, 0, 1]
-    g = build_hetero_graph(
-        "community",
-        ["ca", "cb"],
-        Tensor(np.zeros((2, 4))),
-        groups=groups,
-        arc_src=src,
-        arc_dst=dst,
-        edge_reps=edge_reps,
-        od_flows=[ODFlow("ca", "cb", "community", 3.0)],
-    )
-    assert g.spatial_src.tolist() == [0, 1]
-    assert g.spatial_dst.tolist() == [1, 0]
+    sp_src, sp_dst, idx, pair, n_pairs = community_spatial_arcs(src, dst, groups)
+    assert sp_src.tolist() == [0, 1]
+    assert sp_dst.tolist() == [1, 0]
+    assert idx.tolist() == [2, 3] and pair.tolist() == [0, 0] and n_pairs == 1
     # pooled crossing feature = mean of arcs 2 and 3, same for both directions
-    assert np.allclose(g.spatial_feats.values, [[6.0, 7.0], [6.0, 7.0]])
-    assert g.od_src.tolist() == [0]
-    assert g.od_dst.tolist() == [1]
-    assert g.od_feats.values[0, 0] == 3.0
+    assert np.allclose(pool_cross("mean", edge_reps, src, dst, groups).values, [[6.0, 7.0]] * 2)
+    od_src, od_dst, flows = od_arcs([ODFlow("ca", "cb", "community", 3.0)], {"ca": 0, "cb": 1})
+    assert od_src.tolist() == [0]
+    assert od_dst.tolist() == [1]
+    assert flows.tolist() == [3.0]
 
 
 def test_build_hetero_graph_zero_flow_dropped():
-    g = build_hetero_graph(
-        "region",
-        ["a", "b"],
-        Tensor(np.zeros((2, 2))),
-        adjacency=[("a", "b")],
-        od_flows=[ODFlow("a", "b", "region", 0.0)],
-    )
-    assert len(g.od_src) == 0
-    assert g.spatial_src.tolist() == [0, 1]
-    assert g.spatial_feats.shape == (2, 1)
+    index = {"a": 0, "b": 1}
+    od_src, _, flows = od_arcs([ODFlow("a", "b", "region", 0.0)], index)
+    assert len(od_src) == 0 and len(flows) == 0
+    kept, _, _ = od_arcs([ODFlow("a", "b", "region", 2.0)], index, min_flow=1.0)
+    dropped, _, _ = od_arcs([ODFlow("a", "b", "region", 2.0)], index, min_flow=2.0)
+    assert len(kept) == 1 and len(dropped) == 0
+    sp_src, _ = adjacency_arcs([("a", "b")], index)
+    assert sp_src.tolist() == [0, 1]
 
 
 def test_build_hetero_graph_no_links_between_unrelated_pair():
-    g = build_hetero_graph(
-        "community",
-        ["ca", "cb"],
-        Tensor(np.zeros((2, 2))),
-        groups=[0, 1],
-        arc_src=[0],
-        arc_dst=[0],
-        edge_reps=Tensor(np.zeros((1, 2))),
-        od_flows=[],
-    )
     # arc is a within-community arc only: no crossing pair, no od
-    assert len(g.spatial_src) == 0
-    assert len(g.od_src) == 0
+    sp_src, sp_dst, _, _, n_pairs = community_spatial_arcs([0], [0], [0, 1])
+    assert len(sp_src) == len(sp_dst) == n_pairs == 0
+    assert len(od_arcs([], {"ca": 0, "cb": 1})[0]) == 0
 
 
 def test_build_hetero_graph_unknown_area_errors():
+    index = {"a": 0, "b": 1}
     with pytest.raises(ValueError, match="unknown area nope"):
-        build_hetero_graph(
-            "region",
-            ["a", "b"],
-            Tensor(np.zeros((2, 2))),
-            adjacency=[],
-            od_flows=[ODFlow("a", "nope", "region", 1.0)],
-        )
+        od_arcs([ODFlow("a", "nope", "region", 1.0)], index)
+    with pytest.raises(ValueError, match="identical origin and destination a"):
+        od_arcs([ODFlow("a", "a", "region", 1.0)], index)
+    with pytest.raises(ValueError, match="unknown area nope"):
+        adjacency_arcs([("a", "nope")], index)
+
+
+def test_od_arcs_duplicate_record_rejected():
+    record = ODFlow("a", "b", "region", 1.0)
+    with pytest.raises(ValueError, match="duplicate OD record a -> b"):
+        od_arcs([record, record], {"a": 0, "b": 1})
 
 
 def test_spatial_arcs_symmetric():
-    g = build_hetero_graph(
-        "region",
-        ["a", "b", "c"],
-        Tensor(np.zeros((3, 2))),
-        adjacency=[("a", "b"), ("c", "b"), ("b", "a")],  # duplicate collapses
-        od_flows=[],
+    src, dst = adjacency_arcs(
+        [("a", "b"), ("c", "b"), ("b", "a"), ("c", "c")],  # repeat and self-pair collapse
+        {"a": 0, "b": 1, "c": 2},
     )
-    pairs = set(zip(g.spatial_src.tolist(), g.spatial_dst.tolist()))
-    assert ({(a, b) for a, b in pairs} == {(b, a) for a, b in pairs})
-    assert len(pairs) == 4
+    assert src.tolist() == [0, 1, 1, 2]
+    assert dst.tolist() == [1, 0, 2, 1]
 
 
 def test_crossing_pairs_sorted():
-    pairs = crossing_pairs([0, 2, 3], [1, 3, 2], [0, 0, 1, 2])
-    assert pairs == [(0, 1), (1, 2)] or pairs == sorted(pairs)
+    # the (1, 2) crossing comes first in arc order
+    sp_src, sp_dst, _, _, _ = community_spatial_arcs([2, 0, 3], [3, 1, 2], [0, 1, 1, 2])
+    pairs = list(zip(sp_src[::2].tolist(), sp_dst[::2].tolist()))
+    assert pairs == [(0, 1), (1, 2)]
 
 
 def test_community_node_features_width():

@@ -11,7 +11,7 @@ from roadcarbon.layers import (
     stack_hetero,
 )
 from roadcarbon.optim import finite_difference_check
-from roadcarbon.tensor import Tensor, mse_loss
+from roadcarbon.tensor import Tensor, backward, mse_loss
 
 
 def make_params(prefix, d_in, d_e, d_out=None, d_att=4, seed=0):
@@ -65,6 +65,35 @@ def test_single_node_no_arcs_is_self_transform():
     assert np.allclose(V_out.values, V.values @ params.W.values)
     assert rec.arc_alpha[0, 0] == 1.0
     assert E_out.shape == (0, 2)
+
+
+def test_layer_without_arc_updater_returns_no_arcs():
+    rng = np.random.default_rng(4)
+    V, E, src, dst = random_graph(rng, 6)
+    full = make_params("p", 3, 2)
+    terminal = EgatParams(full.W, full.U, full.a, A=None)
+    v_full, _, _ = egat_layer(Tensor(V), Tensor(E), src, dst, full)
+    v_term, e_term, _ = egat_layer(Tensor(V), Tensor(E), src, dst, terminal)
+    assert e_term is None
+    assert np.array_equal(v_full.values, v_term.values)
+    assert [p.name for p in terminal.parameters()] == ["p.W", "p.U", "p.a"]
+
+
+def test_stack_without_arcs_reaches_every_parameter():
+    # zero arcs take the general path, so the arc updater feeding the next
+    # layer gets an exact zero gradient rather than none
+    rng = np.random.default_rng(5)
+    layers = [
+        EgatParams.create("l0", 2, 2, d_out=2, d_e_out=2, d_att=3, rng=rng),
+        EgatParams.create("l1", 2, 2, d_out=2, d_e_out=None, d_att=3, rng=rng),
+    ]
+    V, E = Tensor(rng.normal(size=(3, 2))), Tensor(np.zeros((0, 2)))
+    out, e_out, _ = stack_egat(V, E, [], [], layers)
+    assert e_out is None
+    backward(out.sum())
+    params = [p for layer in layers for p in layer.parameters()]
+    assert all(p.grad is not None for p in params)
+    assert not layers[0].A.grad.any()
 
 
 def test_symmetric_nodes_get_equal_outputs():
