@@ -2,8 +2,9 @@
 attention export.
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad config, bad
-data), 2 runtime failure.  Primary outputs go to files or stdout; logs go
-to stderr.
+data, bad checkpoint), 2 runtime failure, internal faults included.  Primary
+outputs go to files or stdout as strict JSON or CSV, each file replaced
+whole; logs go to stderr.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 
 from .config import ABLATION_CHOICES, ConfigError, POOLING_CHOICES, RunConfig
-from .data import DatasetError, load_dataset, split_dataset, write_dataset
+from .data import DatasetError, atomic_write, load_dataset, split_dataset, write_dataset
 from .graphs import GraphValidationError
 from .model import (
     CheckpointError,
@@ -32,7 +35,7 @@ from .model import (
 )
 from .synth import SynthParams, generate_synthetic
 from .tensor import no_grad
-from .train import evaluate, train
+from .train import evaluate, predict_split, train
 
 logger = logging.getLogger("roadcarbon")
 
@@ -45,7 +48,6 @@ VALIDATION_ERRORS = (
     DatasetError,
     GraphValidationError,
     CheckpointError,
-    ValueError,
 )
 
 
@@ -116,6 +118,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json(record: dict) -> str:
+    """Strict JSON of a flat record; a non-finite float (an undefined R^2) is null."""
+
+    def strict(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps({k: strict(v) for k, v in record.items()}, allow_nan=False)
+
+
 def cmd_gen_synth(args) -> int:
     params = SynthParams(
         n_regions=args.regions,
@@ -138,29 +149,15 @@ def cmd_gen_synth(args) -> int:
         if isinstance(value, dict):
             continue
         lines.append(f"{f.name}={_fmt(value) if isinstance(value, float) else value}")
-    (out / "synth_params.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "synth_params.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     logger.info("wrote %d regions to %s", params.n_regions, out)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "ablation",
-            "data_dir",
-            "out_dir",
-            "seed",
-            "epochs",
-            "patience",
-            "lr",
-            "batch_size",
-            "hidden",
-            "layers",
-            "layers_road",
-            "pooling",
-        )
-    }
+    # every train flag other than --config names a RunConfig field
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     config = RunConfig.from_file(args.config).with_overrides(**overrides).validate()
     if not config.data_dir:
         raise ConfigError("data_dir must be set (config file or --data)")
@@ -175,19 +172,21 @@ def cmd_train(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config.to_file(out_dir / "config.txt")
-    with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for entry in result.epoch_log:
-            fh.write(json.dumps(entry) + "\n")
+    with atomic_write(out_dir / "metrics.jsonl") as fh:
+        fh.writelines(_json(entry) + "\n" for entry in result.epoch_log)
     save_checkpoint(model, out_dir / "checkpoint.json")
-    summary = {
-        "best_epoch": result.best_epoch,
-        "best_val_r2": result.best_val_r2,
-        "epochs_run": len(result.epoch_log),
-        "steps": result.steps,
-        "cache_refreshes": result.cache_refreshes,
-    }
-    (out_dir / "train_summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    print(json.dumps(summary))
+    summary = _json(
+        {
+            "best_epoch": result.best_epoch,
+            "best_val_r2": result.best_val_r2,
+            "epochs_run": len(result.epoch_log),
+            "steps": result.steps,
+            "cache_refreshes": result.cache_refreshes,
+        }
+    )
+    with atomic_write(out_dir / "train_summary.json") as fh:
+        fh.write(summary)
+    print(summary)
     return EXIT_OK
 
 
@@ -216,37 +215,29 @@ def cmd_eval(args) -> int:
         "raw_mae": raw.mae,
         "raw_rmse": raw.rmse,
     }
-    print(json.dumps(payload))
+    print(_json(payload))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     model, dataset, prepared, cache = _load_for_inference(args.checkpoint, args.data)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    preds = predict_split(model, prepared, prepared.region_ids, cache)
+    with atomic_write(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["region_id", "prediction_raw", "prediction_normalized"])
-        with no_grad():
-            for region_id in prepared.region_ids:
-                z = float(model.predict_region(prepared, region_id, cache).values[0, 0])
-                writer.writerow(
-                    [region_id, _fmt(prepared.stats.denormalize_label(z)), _fmt(z)]
-                )
-    logger.info("wrote predictions for %d regions to %s", len(prepared.region_ids), args.out)
+        for region_id, z in preds.items():
+            writer.writerow([region_id, _fmt(prepared.stats.denormalize_label(z)), _fmt(z)])
+    logger.info("wrote predictions for %d regions to %s", len(preds), args.out)
     return EXIT_OK
 
 
-def _beta_columns(records, tags_present) -> dict[str, float]:
-    """Average fusion weights per tag over layers and nodes of one site."""
-    sums = {tag: 0.0 for tag in tags_present}
-    count = 0
-    for rec in records:
-        beta = rec.fusion.beta
-        for j, tag in enumerate(rec.fusion.tags):
-            sums[tag] += float(beta[:, j].mean())
-        count += 1
-    if count == 0:
+def _mean_beta(records, rows) -> dict[str, float]:
+    """Fusion weight per tag of one site, averaged over ``rows`` of each
+    layer's nodes, then over layers."""
+    if not records:
         return {}
-    return {tag: sums[tag] / count for tag in tags_present}
+    means = np.mean([rec.fusion.beta[rows].mean(axis=0) for rec in records], axis=0)
+    return dict(zip(records[0].fusion.tags, means))
 
 
 def cmd_dump_attention(args) -> int:
@@ -260,13 +251,7 @@ def cmd_dump_attention(args) -> int:
         "beta_intra",
         "beta_inter",
     ]
-    tags = []
-    if model.use_spatial:
-        tags.append("rn")
-    if model.use_od:
-        tags.append("od")
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         with no_grad():
@@ -275,28 +260,14 @@ def cmd_dump_attention(args) -> int:
                 model.predict_region(prepared, region_id, cache, record)
                 row = {key: "" for key in header}
                 row["region_id"] = region_id
-
-                community = _beta_columns(record.community, tags)
-                for tag, value in community.items():
-                    row[f"beta_{tag}_community"] = _fmt(value)
-
-                if record.region:
-                    t = record.region_target_idx
-                    sums = {tag: 0.0 for tag in tags}
-                    for rec in record.region:
-                        for j, tag in enumerate(rec.fusion.tags):
-                            sums[tag] += float(rec.fusion.beta[t, j])
-                    for tag in tags:
-                        row[f"beta_{tag}_region"] = _fmt(sums[tag] / len(record.region))
-
+                target = [record.region_target_idx]
+                for site, rows in (("community", slice(None)), ("region", target)):
+                    for tag, value in _mean_beta(getattr(record, site), rows).items():
+                        row[f"beta_{tag}_{site}"] = _fmt(value)
                 if record.final is not None:
-                    beta = record.final.beta[0]
-                    row["beta_intra"] = _fmt(beta[0])
-                    row["beta_inter"] = _fmt(beta[1])
+                    row["beta_intra"], row["beta_inter"] = map(_fmt, record.final.beta[0])
                 elif not model.use_region:
-                    row["beta_intra"] = _fmt(1.0)
-                    row["beta_inter"] = _fmt(0.0)
-
+                    row["beta_intra"], row["beta_inter"] = _fmt(1.0), _fmt(0.0)
                 writer.writerow([row[key] for key in header])
     logger.info("wrote attention weights to %s", args.out)
     return EXIT_OK

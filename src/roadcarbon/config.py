@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from .data import atomic_write
+
 LAYER_CHOICES = (2, 3, 4)
 BATCH_CHOICES = (8, 16, 32, 64)
 POOLING_CHOICES = ("mean", "sum", "max")
@@ -102,7 +104,8 @@ class RunConfig:
             value = getattr(self, f.name)
             text = repr(value) if isinstance(value, float) else str(value)
             lines.append(f"{f.name}={text}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
     @staticmethod
     def from_file(path) -> "RunConfig":

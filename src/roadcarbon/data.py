@@ -12,6 +12,8 @@ File contract (all headers mandatory, UTF-8, '.' decimal, '#' comments):
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,6 +251,24 @@ def load_dataset(directory) -> Dataset:
     )
 
 
+@contextmanager
+def atomic_write(path):
+    """Text handle whose contents replace ``path`` whole or not at all.
+
+    Writes go to a temporary file beside ``path`` that ``os.replace`` moves
+    into place once the block completes; any failure deletes it and leaves a
+    previous file untouched.  Lines are written without newline translation.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _fmt(x) -> str:
     """Shortest repr that round-trips the float exactly."""
     return repr(float(x))
@@ -259,7 +279,7 @@ def write_dataset(ds: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    with open(directory / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(directory / "nodes.csv") as fh:
         w = csv.writer(fh)
         w.writerow(HEADERS["nodes.csv"])
         for region in ds.region_ids:
@@ -275,7 +295,7 @@ def write_dataset(ds: Dataset, directory) -> None:
                     ]
                 )
 
-    with open(directory / "edges.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(directory / "edges.csv") as fh:
         w = csv.writer(fh)
         w.writerow(HEADERS["edges.csv"])
         from .graphs import ROAD_CLASSES
@@ -295,19 +315,19 @@ def write_dataset(ds: Dataset, directory) -> None:
                     ]
                 )
 
-    with open(directory / "od.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(directory / "od.csv") as fh:
         w = csv.writer(fh)
         w.writerow(HEADERS["od.csv"])
         for record in ds.community_od + ds.region_od:
             w.writerow([record.level, record.origin, record.dest, _fmt(record.flow)])
 
-    with open(directory / "labels.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(directory / "labels.csv") as fh:
         w = csv.writer(fh)
         w.writerow(HEADERS["labels.csv"])
         for region in ds.region_ids:
             w.writerow([region, _fmt(ds.labels[region])])
 
-    with open(directory / "region_adjacency.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(directory / "region_adjacency.csv") as fh:
         w = csv.writer(fh)
         w.writerow(HEADERS["region_adjacency.csv"])
         for a, b in ds.region_adjacency:

@@ -262,7 +262,7 @@ def adjacency_arcs(pairs, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray
     for a_id, b_id in pairs:
         for area in (a_id, b_id):
             if area not in index:
-                raise ValueError(f"adjacency record references unknown area {area}")
+                raise GraphValidationError(f"adjacency record references unknown area {area}")
         a, b = index[a_id], index[b_id]
         if a != b:
             keys.add((min(a, b), max(a, b)))
@@ -280,11 +280,11 @@ def od_arcs(records, index: dict[str, int], min_flow: float = 0.0):
         origin, dest = record.origin, record.dest
         for area in (origin, dest):
             if area not in index:
-                raise ValueError(f"OD record references unknown area {area}")
+                raise GraphValidationError(f"OD record references unknown area {area}")
         if origin == dest:
-            raise ValueError(f"OD record with identical origin and destination {origin}")
+            raise GraphValidationError(f"OD record with identical origin and destination {origin}")
         if (origin, dest) in seen:
-            raise ValueError(f"duplicate OD record {origin} -> {dest}")
+            raise GraphValidationError(f"duplicate OD record {origin} -> {dest}")
         seen.add((origin, dest))
         if record.flow <= min_flow:
             continue

@@ -3,9 +3,10 @@
 The convolution scores each arc from the concatenated (destination node,
 arc feature, source node) triple, normalizes scores over every
 destination's incoming arcs, and sums the attention-weighted transformed
-source features.  Self-loops with zero-vector arc features are appended
-internally so isolated nodes keep their own transformed signal; they do
-not appear in the updated arc features.
+source features.  Every node's self-loop is a padded arc: the n loops
+follow the m real arcs with zero-vector arc features, so one triple matrix
+scores both and isolated nodes keep their own transformed signal.  Only the
+first m rows (the real arcs) feed the updated arc features.
 
 Arc features are updated from the same triple for the next layer to
 consume.  The terminal layer of a stack whose arcs nothing reads carries
@@ -125,26 +126,24 @@ def egat_layer(
     n = V.shape[0]
     src = np.asarray(arc_src, dtype=np.int64)
     dst = np.asarray(arc_dst, dtype=np.int64)
-    d_e = params.d_e
+    m, d_e = src.shape[0], params.d_e
     if V.shape[1] != params.d_in:
         raise ValueError(f"node width {V.shape[1]} does not match layer d_in {params.d_in}")
-    if E.shape != (src.shape[0], d_e):
-        raise ValueError(
-            f"arc features {E.shape} do not match {src.shape[0]} arcs of width {d_e}"
-        )
+    if E.shape != (m, d_e):
+        raise ValueError(f"arc features {E.shape} do not match {m} arcs of width {d_e}")
 
-    loop_idx = np.arange(n, dtype=np.int64)
-    cat_self = hstack([V, Tensor(np.zeros((n, d_e))), V])
-    src_feats = gather_rows(V, src)
-    cat_real = hstack([gather_rows(V, dst), E, src_feats])
-    cat_full = vstack([cat_real, cat_self])
-    full_dst = np.concatenate([dst, loop_idx])
-    E_out = None if params.A is None else matmul(cat_real, params.A.tensor)
-
-    scores = leaky_relu(matmul(matmul(cat_full, params.U.tensor), params.a.tensor), LEAKY_SLOPE)
+    loops = np.arange(n, dtype=np.int64)
+    full_src = np.concatenate([src, loops])
+    full_dst = np.concatenate([dst, loops])
+    src_feats = gather_rows(V, full_src)
+    cat = hstack(
+        [gather_rows(V, full_dst), vstack([E, Tensor(np.zeros((n, d_e)))]), src_feats]
+    )
+    scores = leaky_relu(matmul(cat, matmul(params.U.tensor, params.a.tensor)), LEAKY_SLOPE)
     alpha = segment_softmax(scores, full_dst, n)
-    sources = vstack([src_feats, V])  # rows follow full_src
-    V_out = segment_sum(mul(matmul(sources, params.W.tensor), alpha), full_dst, n)
+    V_out = segment_sum(mul(matmul(src_feats, params.W.tensor), alpha), full_dst, n)
+    # the real arcs are the first m rows of the triple matrix
+    E_out = None if params.A is None else matmul(gather_rows(cat, np.arange(m)), params.A.tensor)
 
     record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)
     return V_out, E_out, record
@@ -168,19 +167,11 @@ def attention_fusion(
     n = shape[0]
     n_tags = len(inputs)
 
-    scores = [
-        matmul(tanh(add(matmul(t, fusion.W.tensor), fusion.b.tensor)), fusion.c.tensor)
-        for _, t in inputs
-    ]
-    stacked = vstack(scores)  # (n_tags*n) x 1, tag-major
+    X = vstack([t for _, t in inputs])  # (n_tags*n) x d, tag-major
     seg = np.tile(np.arange(n, dtype=np.int64), n_tags)
-    beta = segment_softmax(stacked, seg, n)
-
-    out = None
-    for k, (_, t) in enumerate(inputs):
-        weights = gather_rows(beta, np.arange(k * n, (k + 1) * n, dtype=np.int64))
-        term = mul(t, weights)
-        out = term if out is None else add(out, term)
+    scores = matmul(tanh(add(matmul(X, fusion.W.tensor), fusion.b.tensor)), fusion.c.tensor)
+    beta = segment_softmax(scores, seg, n)
+    out = segment_sum(mul(X, beta), seg, n)
 
     record = AttentionRecord(
         beta=beta.values.reshape(n_tags, n).T,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data import Dataset
+from .data import Dataset, atomic_write
 from .graphs import (
     EDGE_FEATURE_DIM,
     NODE_FEATURE_DIM,
@@ -394,80 +394,31 @@ class EmissionModel:
         self.use_community = ablation != "no_community_level"
         self.use_region = ablation != "no_region_level"
 
-        def arc_width(i: int, depth: int, read_after: bool = False) -> int | None:
-            """Width of layer i's updated arcs; None (no arc updater) for a
-            stack's last layer when nothing after the stack reads its arcs."""
-            return d if i + 1 < depth or read_after else None
-
         self.road_layers = [
             EgatParams.create(
                 f"road.{i}",
                 d_in=NODE_FEATURE_DIM if i == 0 else d,
                 d_e=EDGE_FEATURE_DIM if i == 0 else d,
                 d_out=d,
-                d_e_out=arc_width(i, config.layers_road, read_after=self.use_community),
+                # the community level reads the last road layer's arcs
+                d_e_out=d if i + 1 < config.layers_road or self.use_community else None,
                 d_att=d,
                 rng=rng,
             )
             for i in range(config.layers_road)
         ]
-
-        self.community_layers: list[dict[str, EgatParams]] = []
-        self.community_fusion: FusionParams | None = None
-        self.community_od_embed: tuple[Parameter, Parameter] | None = None
-        if self.use_community:
-            if self.use_od:
-                self.community_od_embed = (
-                    xavier_uniform("community.od_embed.W", (1, d), rng),
-                    zeros("community.od_embed.b", (1, d)),
-                )
-            for i in range(config.layers):
-                layer: dict[str, EgatParams] = {}
-                d_in = 2 * d if i == 0 else d
-                e_out = arc_width(i, config.layers)
-                if self.use_spatial:
-                    layer["rn"] = EgatParams.create(
-                        f"community.{i}.rn", d_in, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
-                    )
-                if self.use_od:
-                    layer["od"] = EgatParams.create(
-                        f"community.{i}.od", d_in, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
-                    )
-                self.community_layers.append(layer)
-            if self.use_spatial and self.use_od:
-                self.community_fusion = FusionParams.create("community.fusion", d, rng)
-
-        self.region_layers: list[dict[str, EgatParams]] = []
-        self.region_fusion: FusionParams | None = None
-        self.region_od_embed: tuple[Parameter, Parameter] | None = None
-        self.final_fusion: FusionParams | None = None
-        if self.use_region:
-            if self.use_od:
-                self.region_od_embed = (
-                    xavier_uniform("region.od_embed.W", (1, d), rng),
-                    zeros("region.od_embed.b", (1, d)),
-                )
-            for i in range(config.layers):
-                layer = {}
-                e_out = arc_width(i, config.layers)
-                if self.use_spatial:
-                    layer["rn"] = EgatParams.create(
-                        f"region.{i}.rn",
-                        d,
-                        d_e=REGION_SPATIAL_FEAT_DIM if i == 0 else d,
-                        d_out=d,
-                        d_e_out=e_out,
-                        d_att=d,
-                        rng=rng,
-                    )
-                if self.use_od:
-                    layer["od"] = EgatParams.create(
-                        f"region.{i}.od", d, d_e=d, d_out=d, d_e_out=e_out, d_att=d, rng=rng
-                    )
-                self.region_layers.append(layer)
-            if self.use_spatial and self.use_od:
-                self.region_fusion = FusionParams.create("region.fusion", d, rng)
-            self.final_fusion = FusionParams.create("final_fusion", d, rng)
+        no_level = (None, [], None)
+        self.community_od_embed, self.community_layers, self.community_fusion = (
+            self._hetero_level("community", 2 * d, d, rng) if self.use_community else no_level
+        )
+        self.region_od_embed, self.region_layers, self.region_fusion = (
+            self._hetero_level("region", d, REGION_SPATIAL_FEAT_DIM, rng)
+            if self.use_region
+            else no_level
+        )
+        self.final_fusion = (
+            FusionParams.create("final_fusion", d, rng) if self.use_region else None
+        )
 
         half = d // 2
         self.head = {
@@ -478,26 +429,60 @@ class EmissionModel:
         }
         check_unique_names(self.parameters())
 
+    def _hetero_level(
+        self, prefix: str, d_in: int, d_e_rn: int, rng
+    ) -> tuple[
+        tuple[Parameter, Parameter] | None, list[dict[str, EgatParams]], FusionParams | None
+    ]:
+        """OD embedding, per-layer typed convolutions and fusion of one
+        heterogeneous level, created in that order.  Layer 0 reads
+        ``d_in``-wide nodes and ``d_e_rn``-wide spatial arcs; nothing reads
+        the last layer's arcs, so it has no arc updater."""
+        d, depth = self.config.hidden, self.config.layers
+        od_embed = None
+        if self.use_od:
+            od_embed = (
+                xavier_uniform(f"{prefix}.od_embed.W", (1, d), rng),
+                zeros(f"{prefix}.od_embed.b", (1, d)),
+            )
+        tags = [tag for tag, used in (("rn", self.use_spatial), ("od", self.use_od)) if used]
+        layers = []
+        for i in range(depth):
+            d_e = {"rn": d_e_rn if i == 0 else d, "od": d}
+            layers.append(
+                {
+                    tag: EgatParams.create(
+                        f"{prefix}.{i}.{tag}",
+                        d_in if i == 0 else d,
+                        d_e=d_e[tag],
+                        d_out=d,
+                        d_e_out=d if i + 1 < depth else None,
+                        d_att=d,
+                        rng=rng,
+                    )
+                    for tag in tags
+                }
+            )
+        fusion = None
+        if self.use_spatial and self.use_od:
+            fusion = FusionParams.create(f"{prefix}.fusion", d, rng)
+        return od_embed, layers, fusion
+
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
         for layer in self.road_layers:
             params.extend(layer.parameters())
-        if self.community_od_embed:
-            params.extend(self.community_od_embed)
-        for layer in self.community_layers:
-            for tag in sorted(layer):
-                params.extend(layer[tag].parameters())
-        if self.community_fusion:
-            params.extend(self.community_fusion.parameters())
-        if self.region_od_embed:
-            params.extend(self.region_od_embed)
-        for layer in self.region_layers:
-            for tag in sorted(layer):
-                params.extend(layer[tag].parameters())
-        if self.region_fusion:
-            params.extend(self.region_fusion.parameters())
+        for od_embed, layers, fusion in (
+            (self.community_od_embed, self.community_layers, self.community_fusion),
+            (self.region_od_embed, self.region_layers, self.region_fusion),
+        ):
+            params.extend(od_embed or ())
+            for layer in layers:
+                for tag in sorted(layer):
+                    params.extend(layer[tag].parameters())
+            params.extend(fusion.parameters() if fusion else ())
         if self.final_fusion:
             params.extend(self.final_fusion.parameters())
         params.extend(self.head.values())
@@ -658,7 +643,8 @@ def save_checkpoint(model: EmissionModel, path) -> None:
             for p in model.parameters()
         },
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with atomic_write(path) as fh:
+        json.dump(payload, fh)
 
 
 def load_checkpoint(path) -> EmissionModel:
@@ -674,6 +660,9 @@ def load_checkpoint(path) -> EmissionModel:
             f"unsupported checkpoint format {payload.get('format')!r}, "
             f"expected {CHECKPOINT_FORMAT!r}"
         )
+    missing = [key for key in ("config", "stats", "params") if key not in payload]
+    if missing:
+        raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
     config = RunConfig.from_dict(payload["config"]).validate()
     stats = NormStats.from_dict(payload["stats"]) if payload["stats"] else None
     model = EmissionModel(config, stats)
@@ -691,5 +680,8 @@ def load_checkpoint(path) -> EmissionModel:
             raise CheckpointError(
                 f"parameter {name}: checkpoint shape {shape} vs model {own[name].values.shape}"
             )
-        own[name].tensor.values = np.array(entry["values"]).reshape(shape)
+        values = np.array(entry["values"], dtype=np.float64)
+        if values.size != own[name].values.size:
+            raise CheckpointError(f"parameter {name}: {values.size} values do not fill {shape}")
+        own[name].tensor.values = values.reshape(shape)
     return model

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .data import Dataset
 from .graphs import ROAD_CLASSES, Hierarchy, ODFlow, RoadGraph, build_road_graph
 
@@ -70,15 +71,15 @@ class SynthParams:
 
     def validate(self) -> None:
         if self.n_regions < 1:
-            raise ValueError("n_regions must be >= 1")
+            raise ConfigError("n_regions must be >= 1")
         if self.grid_side < 2:
-            raise ValueError("grid_side must be >= 2")
+            raise ConfigError("grid_side must be >= 2")
         if not (1 <= self.communities <= self.grid_side**2):
-            raise ValueError("communities must be between 1 and grid_side^2")
+            raise ConfigError("communities must be between 1 and grid_side^2")
         if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            raise ConfigError("noise_std must be >= 0")
         if self.k_nearest_regions < 1:
-            raise ValueError("k_nearest_regions must be >= 1")
+            raise ConfigError("k_nearest_regions must be >= 1")
 
 
 # ---------------------------------------------------------------------------

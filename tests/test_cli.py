@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from roadcarbon import cli
 from roadcarbon.cli import main
 from roadcarbon.config import ConfigError, RunConfig
 
@@ -212,3 +213,90 @@ def test_unwritable_output_exits_2(workspace):
         "--data", data, "--out", "/nonexistent-dir/preds.csv",
     )
     assert code == 2
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_undefined_r2_is_strict_json_null(workspace, tmp_path, capsys):
+    # 10 regions leave a one-region val split: its targets are constant, so
+    # R^2 is undefined
+    _, data, _ = workspace
+    cfg = tmp_path / "cfg.txt"
+    out = tmp_path / "run"
+    cfg.write_text(
+        f"data_dir={data}\nout_dir={out}\nhidden=8\nlayers=2\nlayers_road=2\nepochs=1\n",
+        encoding="utf-8",
+    )
+    assert run_cli("train", "--config", cfg) == 0
+    summary = strict_json(capsys.readouterr().out.strip())
+    assert summary["best_val_r2"] is None
+    assert strict_json((out / "train_summary.json").read_text()) == summary
+    (line,) = (out / "metrics.jsonl").read_text().strip().splitlines()
+    assert strict_json(line)["val_r2"] is None
+
+    assert run_cli(
+        "eval", "--checkpoint", out / "checkpoint.json", "--data", data, "--split", "val"
+    ) == 0
+    payload = strict_json(capsys.readouterr().out.strip())
+    assert payload["r2"] is None and payload["raw_r2"] is None
+    assert payload["mae"] > 0
+
+
+def test_bad_synth_params_exit_1(tmp_path, capsys):
+    assert run_cli("gen-synth", "--out", tmp_path / "d", "--regions", 0) == 1
+    assert "n_regions" in capsys.readouterr().err
+
+
+def _edited_checkpoint(workspace, tmp_path, edit):
+    root, data, _ = workspace
+    payload = json.loads((root / "run" / "checkpoint.json").read_text())
+    edit(payload)
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return run_cli("predict", "--checkpoint", path, "--data", data, "--out", tmp_path / "p.csv")
+
+
+def test_checkpoint_values_not_filling_shape_exit_1(workspace, tmp_path, capsys):
+    code = _edited_checkpoint(
+        workspace, tmp_path, lambda payload: payload["params"]["head.b2"]["values"].clear()
+    )
+    assert code == 1
+    assert "head.b2" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
+    assert _edited_checkpoint(workspace, tmp_path, lambda payload: payload.pop("params")) == 1
+    assert "params" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_2(monkeypatch, caplog):
+    def faulty(args):
+        raise ValueError("matmul shape mismatch: (3, 4) @ (5, 1)")
+
+    monkeypatch.setitem(cli.COMMANDS, "gen-synth", faulty)
+    assert run_cli("gen-synth", "--out", "unused") == 2
+    assert "runtime failure" in caplog.text
+
+
+def test_failed_predict_keeps_previous_output(workspace, tmp_path, monkeypatch):
+    root, data, _ = workspace
+    out = tmp_path / "preds.csv"
+    argv = ("predict", "--checkpoint", root / "run" / "checkpoint.json", "--data", data)
+    assert run_cli(*argv, "--out", out) == 0
+    before = out.read_bytes()
+
+    def interrupted(stats, z):
+        raise RuntimeError("interrupted after the header row")
+
+    monkeypatch.setattr("roadcarbon.model.NormStats.denormalize_label", interrupted)
+    assert run_cli(*argv, "--out", out) == 2
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_impl import dense_egat_reference, random_arc_graph
 
 from roadcarbon.layers import (
     EgatParams,
@@ -20,43 +23,6 @@ def make_params(prefix, d_in, d_e, d_out=None, d_att=4, seed=0):
     return EgatParams.create(prefix, d_in, d_e, d_out, d_e_out=d_e, d_att=d_att, rng=rng)
 
 
-def dense_reference(V, E, src, dst, params, slope=0.2):
-    """O(N^2)-style per-node loop implementation of the convolution."""
-    n, d_in = V.shape
-    W, U, a = params.W.values, params.U.values, params.a.values
-    d_e = params.d_e
-    incoming = {i: [] for i in range(n)}
-    for k, (s, d) in enumerate(zip(src, dst)):
-        incoming[d].append((s, E[k]))
-    for i in range(n):
-        incoming[i].append((i, np.zeros(d_e)))  # self-loop
-    V_out = np.zeros((n, W.shape[1]))
-    for i in range(n):
-        scores = []
-        for j, e in incoming[i]:
-            cat = np.concatenate([V[i], e, V[j]])
-            h = (cat @ U @ a).item()
-            scores.append(h if h >= 0 else slope * h)
-        scores = np.array(scores)
-        exps = np.exp(scores - scores.max())
-        alpha = exps / exps.sum()
-        for (j, _), w in zip(incoming[i], alpha):
-            V_out[i] += w * (V[j] @ W)
-    E_out = np.stack(
-        [np.concatenate([V[d], E[k], V[s]]) @ params.A.values for k, (s, d) in enumerate(zip(src, dst))]
-    ) if len(src) else np.zeros((0, params.A.values.shape[1]))
-    return V_out, E_out
-
-
-def random_graph(rng, n, d_in=3, d_e=2):
-    V = rng.normal(size=(n, d_in))
-    m = rng.integers(1, max(2, n * 2))
-    src = rng.integers(0, n, size=m)
-    dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
-    E = rng.normal(size=(m, d_e))
-    return V, E, src, dst
-
-
 def test_single_node_no_arcs_is_self_transform():
     params = make_params("p", 3, 2)
     V = Tensor([[1.0, -2.0, 0.5]])
@@ -69,7 +35,7 @@ def test_single_node_no_arcs_is_self_transform():
 
 def test_layer_without_arc_updater_returns_no_arcs():
     rng = np.random.default_rng(4)
-    V, E, src, dst = random_graph(rng, 6)
+    V, E, src, dst = random_arc_graph(rng, 6)
     full = make_params("p", 3, 2)
     terminal = EgatParams(full.W, full.U, full.a, A=None)
     v_full, _, _ = egat_layer(Tensor(V), Tensor(E), src, dst, full)
@@ -106,7 +72,7 @@ def test_symmetric_nodes_get_equal_outputs():
 
 def test_alpha_sums_to_one_per_destination():
     rng = np.random.default_rng(0)
-    V, E, src, dst = random_graph(rng, 20)
+    V, E, src, dst = random_arc_graph(rng, 20)
     params = make_params("p", 3, 2)
     _, _, rec = egat_layer(Tensor(V), Tensor(E), src, dst, params)
     sums = np.bincount(rec.arc_dst, weights=rec.arc_alpha.ravel(), minlength=20)
@@ -117,10 +83,10 @@ def test_egat_matches_dense_reference():
     rng = np.random.default_rng(1)
     for trial in range(10):
         n = int(rng.integers(2, 11))
-        V, E, src, dst = random_graph(rng, n)
+        V, E, src, dst = random_arc_graph(rng, n)
         params = make_params("p", 3, 2, seed=trial)
         V_out, E_out, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
-        V_ref, E_ref = dense_reference(V, E, src, dst, params)
+        V_ref, E_ref = dense_egat_reference(V, E, src, dst, params)
         assert np.max(np.abs(V_out.values - V_ref)) < 1e-10
         assert np.max(np.abs(E_out.values - E_ref)) < 1e-10
 
@@ -128,7 +94,7 @@ def test_egat_matches_dense_reference():
 def test_egat_permutation_equivariance():
     rng = np.random.default_rng(2)
     n = 9
-    V, E, src, dst = random_graph(rng, n)
+    V, E, src, dst = random_arc_graph(rng, n)
     params = make_params("p", 3, 2)
     out, _, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
     perm = rng.permutation(n)
@@ -140,7 +106,7 @@ def test_egat_permutation_equivariance():
 
 def test_egat_gradient_check():
     rng = np.random.default_rng(3)
-    V, E, src, dst = random_graph(rng, 6)
+    V, E, src, dst = random_arc_graph(rng, 6)
     params = make_params("p", 3, 2)
     target = Tensor(rng.normal(size=(6, 3)))
     Vt = Tensor(V)
@@ -265,7 +231,7 @@ def test_hetero_layer_single_type_beta_is_one():
 
 def test_stack_egat_one_layer_equals_single_call():
     rng = np.random.default_rng(12)
-    V, E, src, dst = random_graph(rng, 5)
+    V, E, src, dst = random_arc_graph(rng, 5)
     params = make_params("p", 3, 2)
     v1, e1, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
     v2, e2, _ = stack_egat(Tensor(V), Tensor(E), src, dst, [params])
@@ -299,7 +265,7 @@ def test_stack_receptive_field_on_path_graph():
 
 def test_stack_egat_three_layer_gradient():
     rng = np.random.default_rng(14)
-    V, E, src, dst = random_graph(rng, 5, d_in=2, d_e=2)
+    V, E, src, dst = random_arc_graph(rng, 5, d_in=2, d_e=2)
     layers = [make_params(f"l{i}", 2, 2, seed=20 + i) for i in range(3)]
     params = [p for lp in layers for p in lp.parameters()]
     Vt, Et = Tensor(V), Tensor(E)
@@ -360,3 +326,69 @@ def test_stack_hetero_one_layer_equals_single_call():
         fusion,
     )
     assert np.array_equal(stacked.values, direct.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(0, 14),
+    d_in=st.integers(1, 4),
+    d_e=st.integers(1, 3),
+    d_out=st.integers(1, 4),
+    d_att=st.integers(1, 4),
+    with_A=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_egat_property_matches_dense_reference(n, m, d_in, d_e, d_out, d_att, with_A, seed):
+    # arbitrary arcs: self-arcs, repeats and nodes without incoming arcs included
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n, d_in))
+    E = rng.normal(size=(m, d_e))
+    src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    params = EgatParams.create("p", d_in, d_e, d_out, d_e_out=d_e, d_att=d_att, rng=rng)
+    V_ref, E_ref = dense_egat_reference(V, E, src, dst, params)
+    if not with_A:
+        params = EgatParams(params.W, params.U, params.a, A=None)
+
+    V_out, E_out, rec = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+    assert np.max(np.abs(V_out.values - V_ref)) <= 1e-10 * (1 + np.abs(V_ref).max())
+    if with_A:
+        assert E_out.shape == E_ref.shape
+        assert np.all(np.abs(E_out.values - E_ref) <= 1e-10 * (1 + np.abs(E_ref)))
+    else:
+        assert E_out is None
+    # real arcs first, then one self-loop per node
+    assert np.array_equal(rec.arc_dst, np.concatenate([dst, np.arange(n)]))
+    sums = np.bincount(rec.arc_dst, weights=rec.arc_alpha.ravel(), minlength=n)
+    assert np.all(np.abs(sums - 1.0) < 1e-12)
+
+
+def fusion_reference(xs, c, W, b):
+    """Per-tag loop: score each tag's rows, softmax across tags per node, weigh."""
+    scores = np.hstack([np.tanh(x @ W + b) @ c for x in xs])  # n x n_tags
+    exps = np.exp(scores - scores.max(axis=1, keepdims=True))
+    beta = exps / exps.sum(axis=1, keepdims=True)
+    out = sum(beta[:, [k]] * x for k, x in enumerate(xs))
+    return out, beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    d=st.integers(1, 5),
+    n_tags=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fusion_property_matches_per_tag_loop(n, d, n_tags, seed):
+    rng = np.random.default_rng(seed)
+    fusion = FusionParams.create("f", d, rng)
+    fusion.b.tensor.values = rng.normal(size=(1, 1))
+    xs = [rng.normal(size=(n, d)) for _ in range(n_tags)]
+    tags = ("rn", "od", "x")[:n_tags]
+
+    out, rec = attention_fusion([(t, Tensor(x)) for t, x in zip(tags, xs)], fusion)
+    want_out, want_beta = fusion_reference(xs, fusion.c.values, fusion.W.values, fusion.b.values)
+    assert rec.tags == tags
+    assert rec.beta.shape == (n, n_tags)
+    assert np.max(np.abs(rec.beta - want_beta)) <= 1e-12
+    assert np.max(np.abs(out.values - want_out)) <= 1e-12 * (1 + np.abs(want_out).max())

@@ -309,6 +309,52 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path, setting):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_values_not_filling_shape(tmp_path, setting):
+    _, _, model, _ = setting
+    import json
+
+    path = tmp_path / "ck.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    payload["params"]["head.W2"]["values"].pop()
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="head.W2.*do not fill"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["config", "stats", "params"])
+def test_checkpoint_rejects_missing_top_level_key(tmp_path, setting, key):
+    _, _, model, _ = setting
+    import json
+
+    path = tmp_path / "ck.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"lacks {key}"):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, setting, monkeypatch):
+    _, _, model, _ = setting
+    import json
+
+    path = tmp_path / "ck.json"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+
+    def torn_dump(payload, fh):
+        fh.write(json.dumps(payload)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
 def relabel_dataset(ds: Dataset, seed: int) -> Dataset:
     """Bijectively rename nodes and communities; predictions must not move."""
     rng = np.random.default_rng(seed)
