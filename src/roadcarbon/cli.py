@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ABLATION_CHOICES, ConfigError, POOLING_CHOICES, RunConfig
-from .data import DatasetError, atomic_write, load_dataset, split_dataset, write_dataset
+from .data import DatasetError, _fmt, atomic_write, load_dataset, split_dataset, write_dataset
 from .graphs import GraphValidationError
 from .model import (
     CheckpointError,
@@ -70,15 +70,15 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen-synth", help="generate a synthetic dataset directory")
     g.add_argument("--out", required=True, help="output dataset directory")
-    g.add_argument("--regions", type=int, default=8)
+    g.add_argument("--regions", type=int, dest="n_regions", default=8)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--grid-side", type=int, default=4)
+    g.add_argument("--grid-side", type=int, dest="grid_side", default=4)
     g.add_argument("--communities", type=int, default=8)
-    g.add_argument("--noise-std", type=float, default=0.1)
-    g.add_argument("--gravity-gamma", type=float, default=2.0)
-    g.add_argument("--k-nearest", type=int, default=4)
-    g.add_argument("--extent-km", type=float, default=20.0)
-    g.add_argument("--deletion-frac", type=float, default=0.2)
+    g.add_argument("--noise-std", type=float, dest="noise_std", default=0.1)
+    g.add_argument("--gravity-gamma", type=float, dest="gravity_gamma", default=2.0)
+    g.add_argument("--k-nearest", type=int, dest="k_nearest_regions", default=4)
+    g.add_argument("--extent-km", type=float, dest="region_extent_km", default=20.0)
+    g.add_argument("--deletion-frac", type=float, dest="edge_deletion_frac", default=0.2)
 
     t = sub.add_parser("train", help="train a model from a config file")
     t.add_argument("--config", required=True, help="flat key=value config file")
@@ -114,10 +114,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _json(record: dict) -> str:
     """Strict JSON of a flat record; a non-finite float (an undefined R^2) is null."""
 
@@ -128,17 +124,8 @@ def _json(record: dict) -> str:
 
 
 def cmd_gen_synth(args) -> int:
-    params = SynthParams(
-        n_regions=args.regions,
-        grid_side=args.grid_side,
-        communities=args.communities,
-        gravity_gamma=args.gravity_gamma,
-        k_nearest_regions=args.k_nearest,
-        region_extent_km=args.extent_km,
-        edge_deletion_frac=args.deletion_frac,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    # every gen-synth flag other than --out names a SynthParams field
+    params = SynthParams(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
     params.validate()
     dataset = generate_synthetic(params)
     out = Path(args.out)

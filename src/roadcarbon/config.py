@@ -89,7 +89,9 @@ class RunConfig:
         return asdict(self)
 
     @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
+    def from_dict(data) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config is not an object")
         known = {f.name: f for f in fields(RunConfig)}
         kwargs = {}
         for key, value in data.items():

@@ -11,6 +11,12 @@ first m rows (the real arcs) feed the updated arc features.
 Arc features are updated from the same triple for the next layer to
 consume.  The terminal layer of a stack whose arcs nothing reads carries
 no arc updater (``EgatParams.A`` is None) and returns None for its arcs.
+
+``stack_egat`` chains convolutions over one arc set.  ``stack_hetero`` runs
+a heterogeneous graph with typed arc sets (spatial ``rn`` and OD ``od``):
+every layer convolves once per type, with its own weights and that type's
+arc features, then ``attention_fusion`` weighs the per-type node outputs
+per node, as in HAN's node-level then semantic-level attention.
 """
 
 from __future__ import annotations
@@ -186,37 +192,6 @@ class HeteroLayerRecord:
     fusion: AttentionRecord
 
 
-def hetero_layer(
-    V: Tensor,
-    typed_arcs: list[tuple[str, np.ndarray, np.ndarray, Tensor, EgatParams]],
-    fusion: FusionParams,
-) -> tuple[Tensor, dict[str, Tensor | None], HeteroLayerRecord]:
-    """Propagate independently per arc type, then fuse the per-type outputs.
-
-    ``typed_arcs`` entries are (tag, src, dst, arc_feats, params).  With a
-    single surviving type (ablated graphs) fusion degenerates to that type
-    with weight one everywhere.
-    """
-    if not typed_arcs:
-        raise ValueError("hetero_layer needs at least one arc type")
-    outs: list[tuple[str, Tensor]] = []
-    new_edges: dict[str, Tensor | None] = {}
-    per_type: dict[str, AttentionRecord] = {}
-    for tag, src, dst, feats, params in typed_arcs:
-        v_out, e_out, rec = egat_layer(V, feats, src, dst, params)
-        outs.append((tag, v_out))
-        new_edges[tag] = e_out
-        per_type[tag] = rec
-
-    if len(outs) == 1:
-        tag, v_out = outs[0]
-        fusion_rec = AttentionRecord(beta=np.ones((V.shape[0], 1)), tags=(tag,))
-        return v_out, new_edges, HeteroLayerRecord(per_type, fusion_rec)
-
-    fused, fusion_rec = attention_fusion(outs, fusion)
-    return fused, new_edges, HeteroLayerRecord(per_type, fusion_rec)
-
-
 def stack_egat(
     V: Tensor,
     E: Tensor,
@@ -239,21 +214,33 @@ def stack_hetero(
     V: Tensor,
     typed_arcs: list[tuple[str, np.ndarray, np.ndarray, Tensor]],
     layer_params: list[dict[str, EgatParams]],
-    fusion: FusionParams,
+    fusion: FusionParams | None,
 ) -> tuple[Tensor, list[HeteroLayerRecord]]:
-    """Sequential heterogeneous layers; each consumes the previous layer's
-    node output and per-type arc outputs.  Fusion weights are shared across
-    the stack (one site).  Only the last layer may lack arc updaters."""
+    """Sequential heterogeneous layers over ``typed_arcs`` entries
+    (tag, src, dst, arc_feats).
+
+    Each layer convolves once per arc type, each type's arc features
+    chaining through the stack, then fuses the per-type node outputs per
+    node.  Fusion weights are shared across the stack (one site).  With a
+    single surviving type (ablated graphs) fusion passes that type through
+    with weight one everywhere.  Only the last layer may lack arc updaters.
+    """
     if not layer_params:
         raise ValueError("stack_hetero needs at least one layer")
     feats = {tag: f for tag, _, _, f in typed_arcs}
-    structure = [(tag, src, dst) for tag, src, dst, _ in typed_arcs]
     records = []
     for params_by_tag in layer_params:
-        layer_input = [
-            (tag, src, dst, feats[tag], params_by_tag[tag]) for tag, src, dst in structure
-        ]
-        V, new_feats, rec = hetero_layer(V, layer_input, fusion)
-        feats = new_feats
-        records.append(rec)
+        outs: list[tuple[str, Tensor]] = []
+        per_type: dict[str, AttentionRecord] = {}
+        for tag, src, dst, _ in typed_arcs:
+            v_out, feats[tag], per_type[tag] = egat_layer(
+                V, feats[tag], src, dst, params_by_tag[tag]
+            )
+            outs.append((tag, v_out))
+        if len(outs) == 1:
+            [(tag, V)] = outs
+            fusion_rec = AttentionRecord(beta=np.ones((V.shape[0], 1)), tags=(tag,))
+        else:
+            V, fusion_rec = attention_fusion(outs, fusion)
+        records.append(HeteroLayerRecord(per_type, fusion_rec))
     return V, records

@@ -12,7 +12,7 @@ through its full hierarchy while neighbors act as constants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,32 +80,28 @@ class NormStats:
         return float(np.expm1(z * self.label_std + self.label_mean))
 
     def to_dict(self) -> dict:
-        return {
-            "node_mean": self.node_mean.tolist(),
-            "node_std": self.node_std.tolist(),
-            "edge_mean": self.edge_mean.tolist(),
-            "edge_std": self.edge_std.tolist(),
-            "community_flow_mean": self.community_flow_mean,
-            "community_flow_std": self.community_flow_std,
-            "region_flow_mean": self.region_flow_mean,
-            "region_flow_std": self.region_flow_std,
-            "label_mean": self.label_mean,
-            "label_std": self.label_std,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
     @staticmethod
-    def from_dict(data: dict) -> "NormStats":
+    def from_dict(data) -> "NormStats":
+        """Inverse of ``to_dict``; ``data`` must hold exactly the stats keys."""
+        if not isinstance(data, dict):
+            raise CheckpointError("stats is not an object")
+        names = {f.name for f in fields(NormStats)}
+        if set(data) != names:
+            raise CheckpointError(
+                f"stats keys do not match (missing {sorted(names - set(data))}, "
+                f"extra {sorted(set(data) - names)})"
+            )
         return NormStats(
-            node_mean=np.array(data["node_mean"]),
-            node_std=np.array(data["node_std"]),
-            edge_mean=np.array(data["edge_mean"]),
-            edge_std=np.array(data["edge_std"]),
-            community_flow_mean=data["community_flow_mean"],
-            community_flow_std=data["community_flow_std"],
-            region_flow_mean=data["region_flow_mean"],
-            region_flow_std=data["region_flow_std"],
-            label_mean=data["label_mean"],
-            label_std=data["label_std"],
+            **{
+                f.name: np.array(data[f.name]) if f.type == "np.ndarray" else data[f.name]
+                for f in fields(NormStats)
+            }
         )
 
 
@@ -171,15 +167,15 @@ class PreparedRegion:
     community_ids: list[str]
     label_norm: float
     label_raw: float
-    spatial_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    spatial_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    cross_arc_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    cross_arc_pair: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    n_cross_pairs: int = 0
-    pair_gather: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    od_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    od_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    od_zflow: Tensor | None = None
+    spatial_src: np.ndarray
+    spatial_dst: np.ndarray
+    cross_arc_idx: np.ndarray
+    cross_arc_pair: np.ndarray
+    n_cross_pairs: int
+    pair_gather: np.ndarray
+    od_src: np.ndarray
+    od_dst: np.ndarray
+    od_zflow: Tensor
 
 
 @dataclass
@@ -207,15 +203,15 @@ class PreparedData:
     regions: dict[str, PreparedRegion]
     region_ids: list[str]
     stats: NormStats
-    region_spatial_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    region_spatial_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    region_spatial_feats: Tensor | None = None
-    region_od_src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    region_od_dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    region_od_zflow: Tensor | None = None
-    egos: dict[str, RegionEgo] = field(default_factory=dict)
-    ego_hops: int = 0
-    _region_index: dict[str, int] = field(default_factory=dict)
+    region_spatial_src: np.ndarray
+    region_spatial_dst: np.ndarray
+    region_spatial_feats: Tensor
+    region_od_src: np.ndarray
+    region_od_dst: np.ndarray
+    region_od_zflow: Tensor
+    egos: dict[str, RegionEgo]
+    ego_hops: int
+    _region_index: dict[str, int]
 
     def region_index(self, region_id: str) -> int:
         return self._region_index[region_id]
@@ -282,8 +278,8 @@ def prepare_dataset(
     region_index = {r: i for i, r in enumerate(dataset.region_ids)}
     spatial_src, spatial_dst = adjacency_arcs(dataset.region_adjacency, region_index)
     od_src, od_dst, flows = od_arcs(dataset.region_od, region_index, min_flow)
-    region_od_zflow = _zscore_log_flow(flows, stats.region_flow_mean, stats.region_flow_std)
-    prepared = PreparedData(
+    od_zflow = _zscore_log_flow(flows, stats.region_flow_mean, stats.region_flow_std)
+    return PreparedData(
         regions=regions,
         region_ids=dataset.region_ids,
         stats=stats,
@@ -292,26 +288,33 @@ def prepare_dataset(
         region_spatial_feats=Tensor(np.zeros((spatial_src.size, REGION_SPATIAL_FEAT_DIM))),
         region_od_src=od_src,
         region_od_dst=od_dst,
-        region_od_zflow=Tensor(region_od_zflow),
+        region_od_zflow=Tensor(od_zflow),
+        egos=_build_region_egos(
+            dataset.region_ids, spatial_src, spatial_dst, od_src, od_dst, od_zflow, hops
+        ),
+        ego_hops=hops,
         _region_index=region_index,
     )
-    prepared.egos = _build_region_egos(prepared, region_od_zflow, hops)
-    prepared.ego_hops = hops
-    return prepared
 
 
 def _build_region_egos(
-    prepared: PreparedData, od_zflow: np.ndarray, hops: int
+    region_ids: list[str],
+    spatial_src: np.ndarray,
+    spatial_dst: np.ndarray,
+    od_src: np.ndarray,
+    od_dst: np.ndarray,
+    od_zflow: np.ndarray,
+    hops: int,
 ) -> dict[str, RegionEgo]:
-    n = len(prepared.region_ids)
-    all_src = np.concatenate([prepared.region_spatial_src, prepared.region_od_src])
-    all_dst = np.concatenate([prepared.region_spatial_dst, prepared.region_od_dst])
+    n = len(region_ids)
+    all_src = np.concatenate([spatial_src, od_src])
+    all_dst = np.concatenate([spatial_dst, od_dst])
     in_neighbors: list[list[int]] = [[] for _ in range(n)]
     for s, d in zip(all_src.tolist(), all_dst.tolist()):
         in_neighbors[d].append(s)
 
     egos = {}
-    for t, region_id in enumerate(prepared.region_ids):
+    for t, region_id in enumerate(region_ids):
         ball = {t}
         frontier = [t]
         for _ in range(hops):
@@ -330,18 +333,16 @@ def _build_region_egos(
             mask = (local[src] >= 0) & (local[dst] >= 0)
             return mask, local[src[mask]], local[dst[mask]]
 
-        sp_mask, sp_src, sp_dst = _restrict(
-            prepared.region_spatial_src, prepared.region_spatial_dst
-        )
-        od_mask, od_src, od_dst = _restrict(prepared.region_od_src, prepared.region_od_dst)
+        _, sp_src, sp_dst = _restrict(spatial_src, spatial_dst)
+        od_mask, ego_od_src, ego_od_dst = _restrict(od_src, od_dst)
         egos[region_id] = RegionEgo(
             nodes=nodes,
             target_local=int(local[t]),
             spatial_src=sp_src,
             spatial_dst=sp_dst,
             spatial_feats=Tensor(np.zeros((sp_src.size, REGION_SPATIAL_FEAT_DIM))),
-            od_src=od_src,
-            od_dst=od_dst,
+            od_src=ego_od_src,
+            od_dst=ego_od_dst,
             od_zflow=Tensor(od_zflow[od_mask]),
         )
     return egos
@@ -490,12 +491,30 @@ class EmissionModel:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _embed_od(self, zflow: Tensor, level: str) -> Tensor:
-        """Learnable linear lift of the z-scored log-flow column."""
-        embed_w, embed_b = (
-            self.community_od_embed if level == "community" else self.region_od_embed
-        )
-        return add(matmul(zflow, embed_w.tensor), embed_b.tensor)
+    def _hetero_forward(
+        self,
+        V: Tensor,
+        graph: PreparedRegion | RegionEgo,
+        spatial_feats: Tensor | None,
+        level: tuple,
+        records: list[HeteroLayerRecord] | None,
+    ) -> Tensor:
+        """One heterogeneous level, (od_embed, layers, fusion), on node rows
+        ``V`` of a region's community graph or of a region-level ego.  OD arcs
+        carry a linear lift of the z-scored log flows; layer records extend
+        ``records``."""
+        od_embed, layers, fusion = level
+        typed = []
+        if self.use_spatial:
+            typed.append(("rn", graph.spatial_src, graph.spatial_dst, spatial_feats))
+        if self.use_od:
+            embed_w, embed_b = od_embed
+            od_feats = add(matmul(graph.od_zflow, embed_w.tensor), embed_b.tensor)
+            typed.append(("od", graph.od_src, graph.od_dst, od_feats))
+        v_out, layer_records = stack_hetero(V, typed, layers, fusion)
+        if records is not None:
+            records.extend(layer_records)
+        return v_out
 
     def intra_representation(
         self, prep: PreparedRegion, record: ForwardRecord | None = None
@@ -515,23 +534,17 @@ class EmissionModel:
         v_comm = community_node_features(
             phi, v_road, e_road, prep.arc_src, prep.arc_dst, prep.groups, n_comm
         )
-        typed = []
+        spatial_feats = None
         if self.use_spatial:
             # pooled connector-segment features, one row per crossing pair,
             # duplicated onto the symmetric arc pair
             crossing = gather_rows(e_road, prep.cross_arc_idx)
             pair_feats = pool_nodes(phi, crossing, prep.cross_arc_pair, prep.n_cross_pairs)
             spatial_feats = gather_rows(pair_feats, prep.pair_gather)
-            typed.append(("rn", prep.spatial_src, prep.spatial_dst, spatial_feats))
-        if self.use_od:
-            typed.append(
-                ("od", prep.od_src, prep.od_dst, self._embed_od(prep.od_zflow, "community"))
-            )
-        v_out, records = stack_hetero(
-            v_comm, typed, self.community_layers, self.community_fusion
+        level = (self.community_od_embed, self.community_layers, self.community_fusion)
+        v_out = self._hetero_forward(
+            v_comm, prep, spatial_feats, level, None if record is None else record.community
         )
-        if record is not None:
-            record.community.extend(records)
         return pool_nodes(phi, v_out, np.zeros(n_comm, dtype=np.int64), 1)
 
     def inter_representation(
@@ -558,27 +571,13 @@ class EmissionModel:
         ego = prepared.egos[region_id]
         ids = prepared.region_ids
         t = ego.target_local
-        rows = [cache.reps[ids[g]] for g in ego.nodes.tolist()]
-        parts = []
-        if t > 0:
-            parts.append(Tensor(np.concatenate(rows[:t], axis=0)))
-        parts.append(live_intra)
-        if t + 1 < len(rows):
-            parts.append(Tensor(np.concatenate(rows[t + 1 :], axis=0)))
-        node_feats = vstack(parts) if len(parts) > 1 else parts[0]
-
-        typed = []
-        if self.use_spatial:
-            typed.append(("rn", ego.spatial_src, ego.spatial_dst, ego.spatial_feats))
-        if self.use_od:
-            typed.append(
-                ("od", ego.od_src, ego.od_dst, self._embed_od(ego.od_zflow, "region"))
-            )
-        v_out, records = stack_hetero(
-            node_feats, typed, self.region_layers, self.region_fusion
+        rows = np.concatenate([cache.reps[ids[g]] for g in ego.nodes.tolist()], axis=0)
+        node_feats = vstack([Tensor(rows[:t]), live_intra, Tensor(rows[t + 1 :])])
+        level = (self.region_od_embed, self.region_layers, self.region_fusion)
+        v_out = self._hetero_forward(
+            node_feats, ego, ego.spatial_feats, level, None if record is None else record.region
         )
         if record is not None:
-            record.region.extend(records)
             record.region_target_idx = t
         return gather_rows(v_out, np.array([t], dtype=np.int64))
 
@@ -664,7 +663,7 @@ def load_checkpoint(path) -> EmissionModel:
     if missing:
         raise CheckpointError(f"checkpoint {path} lacks {', '.join(missing)}")
     config = RunConfig.from_dict(payload["config"]).validate()
-    stats = NormStats.from_dict(payload["stats"]) if payload["stats"] else None
+    stats = None if payload["stats"] is None else NormStats.from_dict(payload["stats"])
     model = EmissionModel(config, stats)
     saved = payload["params"]
     own = {p.name: p for p in model.parameters()}
@@ -675,6 +674,8 @@ def load_checkpoint(path) -> EmissionModel:
             f"parameter names do not match checkpoint (missing {missing}, extra {extra})"
         )
     for name, entry in saved.items():
+        if not isinstance(entry, dict) or not {"shape", "values"} <= set(entry):
+            raise CheckpointError(f"parameter {name}: entry needs shape and values")
         shape = tuple(entry["shape"])
         if shape != own[name].values.shape:
             raise CheckpointError(

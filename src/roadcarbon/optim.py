@@ -16,7 +16,6 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    init: str = "xavier_uniform"
 
     @property
     def values(self) -> np.ndarray:
@@ -31,11 +30,11 @@ def xavier_uniform(name: str, shape: tuple[int, int], rng: np.random.Generator) 
     fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     values = rng.uniform(-limit, limit, size=shape)
-    return Parameter(name, Tensor(values, requires_grad=True), "xavier_uniform")
+    return Parameter(name, Tensor(values, requires_grad=True))
 
 
 def zeros(name: str, shape: tuple[int, int]) -> Parameter:
-    return Parameter(name, Tensor(np.zeros(shape), requires_grad=True), "zeros")
+    return Parameter(name, Tensor(np.zeros(shape), requires_grad=True))
 
 
 def check_unique_names(params: list[Parameter]) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class SynthParams:
     emission_factors: dict = field(default_factory=lambda: dict(DEFAULT_EMISSION_FACTORS))
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.n_regions < 1:
             raise ConfigError("n_regions must be >= 1")
         if self.grid_side < 2:
@@ -80,6 +84,14 @@ class SynthParams:
             raise ConfigError("noise_std must be >= 0")
         if self.k_nearest_regions < 1:
             raise ConfigError("k_nearest_regions must be >= 1")
+        if not 0 <= self.edge_deletion_frac < 1:
+            raise ConfigError("edge_deletion_frac must be in [0, 1)")
+        if self.gravity_gamma < 0:
+            raise ConfigError("gravity_gamma must be >= 0")
+        if self.region_extent_km <= 0:
+            raise ConfigError("region_extent_km must be > 0")
+        if not 0 <= self.extent_jitter < 1:
+            raise ConfigError("extent_jitter must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +411,10 @@ def generate_synthetic(params: SynthParams) -> Dataset:
         extent_km = params.region_extent_km * rng.uniform(
             1.0 - params.extent_jitter, 1.0 + params.extent_jitter
         )
-        graph = None
-        for _attempt in range(10):
-            nodes, segments, mapping, pop_by_node, activity = _generate_region(
-                region_id, params, rng, extent_km
-            )
-            candidate = build_road_graph(region_id, nodes, segments)
-            undirected = {
-                (min(s, d), max(s, d))
-                for s, d in zip(candidate.arc_src, candidate.arc_dst)
-            }
-            if _connected(candidate.n_nodes, sorted(undirected)):
-                graph = candidate
-                break
-        if graph is None:
-            raise RuntimeError(f"could not generate a connected network for {region_id}")
+        nodes, segments, mapping, pop_by_node, activity = _generate_region(
+            region_id, params, rng, extent_km
+        )
+        graph = build_road_graph(region_id, nodes, segments)
         road_graphs[region_id] = graph
         node_to_community.update(mapping)
         for community in sorted(set(mapping.values())):

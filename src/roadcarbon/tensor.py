@@ -77,22 +77,10 @@ class Tensor:
     def sum(self) -> "Tensor":
         return sum_all(self)
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op})"

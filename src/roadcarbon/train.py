@@ -22,9 +22,6 @@ class Metrics:
     mae: float
     rmse: float
 
-    def to_dict(self) -> dict:
-        return {"r2": self.r2, "mae": self.mae, "rmse": self.rmse}
-
 
 def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     """R^2, MAE, RMSE; constant targets make R^2 undefined (NaN, warned)."""
@@ -83,10 +80,6 @@ class TrainResult:
     cache_refreshes: int
     steps: int
     cache_fingerprints: list[tuple] = field(default_factory=list)
-
-    @property
-    def final_train_mse(self) -> float:
-        return self.epoch_log[-1]["train_mse"] if self.epoch_log else float("nan")
 
 
 def _train_step(

@@ -249,9 +249,28 @@ def test_undefined_r2_is_strict_json_null(workspace, tmp_path, capsys):
     assert payload["mae"] > 0
 
 
-def test_bad_synth_params_exit_1(tmp_path, capsys):
-    assert run_cli("gen-synth", "--out", tmp_path / "d", "--regions", 0) == 1
-    assert "n_regions" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--regions", 0, "n_regions"),
+        ("--deletion-frac", 1.5, "edge_deletion_frac"),
+        ("--deletion-frac", 1.0, "edge_deletion_frac"),
+        ("--deletion-frac", -0.5, "edge_deletion_frac"),
+        ("--gravity-gamma", -3, "gravity_gamma"),
+        ("--gravity-gamma", "nan", "gravity_gamma"),
+        ("--extent-km", 0, "region_extent_km"),
+        ("--extent-km", "inf", "region_extent_km"),
+        ("--noise-std", "nan", "noise_std"),
+    ],
+    ids=[
+        "regions-0", "deletion-1.5", "deletion-1", "deletion-neg", "gamma-neg", "gamma-nan",
+        "extent-0", "extent-inf", "noise-nan",
+    ],
+)
+def test_bad_synth_params_exit_1(tmp_path, capsys, flag, value, field):
+    assert run_cli("gen-synth", "--out", tmp_path / "d", flag, value) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def _edited_checkpoint(workspace, tmp_path, edit):
@@ -275,6 +294,27 @@ def test_checkpoint_values_not_filling_shape_exit_1(workspace, tmp_path, capsys)
 def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
     assert _edited_checkpoint(workspace, tmp_path, lambda payload: payload.pop("params")) == 1
     assert "params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda payload: payload["stats"].pop("label_std"), "label_std"),
+        (lambda payload: payload["stats"].update(label_scale=1.0), "label_scale"),
+        (lambda payload: payload.update(stats=[0.0]), "stats"),
+        (lambda payload: payload["params"]["head.b2"].pop("values"), "head.b2"),
+        (lambda payload: payload["params"]["head.b2"].pop("shape"), "head.b2"),
+        (lambda payload: payload.update(config=[1]), "config"),
+    ],
+    ids=[
+        "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
+        "config-not-object",
+    ],
+)
+def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):
+    assert _edited_checkpoint(workspace, tmp_path, edit) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_internal_value_error_exits_2(monkeypatch, caplog):

@@ -9,7 +9,6 @@ from roadcarbon.layers import (
     FusionParams,
     attention_fusion,
     egat_layer,
-    hetero_layer,
     stack_egat,
     stack_hetero,
 )
@@ -187,12 +186,13 @@ def test_hetero_layer_zero_od_arcs_still_fuses():
     p_od = make_params("od", 3, 1, seed=2)
     fusion = FusionParams.create("f", 3, rng)
     src = np.array([0, 1]); dst = np.array([1, 0])
-    out, edges, rec = hetero_layer(
+    out, (rec,) = stack_hetero(
         V,
         [
-            ("rn", src, dst, Tensor(rng.normal(size=(2, 2))), p_rn),
-            ("od", np.zeros(0, int), np.zeros(0, int), Tensor(np.zeros((0, 1))), p_od),
+            ("rn", src, dst, Tensor(rng.normal(size=(2, 2)))),
+            ("od", np.zeros(0, int), np.zeros(0, int), Tensor(np.zeros((0, 1)))),
         ],
+        [{"rn": p_rn, "od": p_od}],
         fusion,
     )
     # od branch = self-loop-only transform
@@ -210,8 +210,8 @@ def test_hetero_layer_identical_types_gives_half_beta():
     fusion = FusionParams.create("f", 2, rng)
     src = np.array([0, 1, 2]); dst = np.array([1, 2, 0])
     E = Tensor(rng.normal(size=(3, 1)))
-    out, edges, rec = hetero_layer(
-        V, [("rn", src, dst, E, params), ("od", src, dst, E, params)], fusion
+    out, (rec,) = stack_hetero(
+        V, [("rn", src, dst, E), ("od", src, dst, E)], [{"rn": params, "od": params}], fusion
     )
     assert np.allclose(rec.fusion.beta, 0.5)
     v_rn, _, _ = egat_layer(V, E, src, dst, params)
@@ -223,10 +223,12 @@ def test_hetero_layer_single_type_beta_is_one():
     V = Tensor(rng.normal(size=(3, 2)))
     params = make_params("x", 2, 1, seed=4)
     fusion = FusionParams.create("f", 2, rng)
-    out, _, rec = hetero_layer(
-        V, [("rn", np.array([0]), np.array([1]), Tensor([[1.0]]), params)], fusion
+    out, (rec,) = stack_hetero(
+        V, [("rn", np.array([0]), np.array([1]), Tensor([[1.0]]))], [{"rn": params}], fusion
     )
     assert np.array_equal(rec.fusion.beta, np.ones((3, 1)))
+    v_rn, _, _ = egat_layer(V, Tensor([[1.0]]), np.array([0]), np.array([1]), params)
+    assert np.array_equal(out.values, v_rn.values)
 
 
 def test_stack_egat_one_layer_equals_single_call():
@@ -320,11 +322,9 @@ def test_stack_hetero_one_layer_equals_single_call():
     layer = {"rn": make_params("rn0", 2, 1, seed=50), "od": make_params("od0", 2, 1, seed=51)}
     typed = [("rn", src, dst, E_rn), ("od", src, dst, E_od)]
     stacked, _ = stack_hetero(V, typed, [layer], fusion)
-    direct, _, _ = hetero_layer(
-        V,
-        [("rn", src, dst, E_rn, layer["rn"]), ("od", src, dst, E_od, layer["od"])],
-        fusion,
-    )
+    v_rn, _, _ = egat_layer(V, E_rn, src, dst, layer["rn"])
+    v_od, _, _ = egat_layer(V, E_od, src, dst, layer["od"])
+    direct, _ = attention_fusion([("rn", v_rn), ("od", v_od)], fusion)
     assert np.array_equal(stacked.values, direct.values)
 
 

@@ -449,9 +449,12 @@ def test_single_community_intra_is_identity_pool():
         v_comm = community_node_features(
             "mean", v_road, e_road, r.arc_src, r.arc_dst, r.groups, 1
         )
-        typed = [("od", r.od_src, r.od_dst, model._embed_od(r.od_zflow, "community"))]
-        typed.insert(0, ("rn", r.spatial_src, r.spatial_dst,
-                         Tensor(np.zeros((0, v_road.shape[1])))))
+        embed_w, embed_b = model.community_od_embed
+        od_feats = Tensor(r.od_zflow.values @ embed_w.values + embed_b.values)
+        typed = [
+            ("rn", r.spatial_src, r.spatial_dst, Tensor(np.zeros((0, v_road.shape[1])))),
+            ("od", r.od_src, r.od_dst, od_feats),
+        ]
         v_out, _ = stack_hetero(v_comm, typed, model.community_layers, model.community_fusion)
     assert np.array_equal(intra.values, v_out.values)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadcarbon import tensor as T
 from roadcarbon.optim import Parameter, finite_difference_check
@@ -181,6 +183,96 @@ def test_segment_max_matches_group_by_oracle_and_grad():
         return T.mul(T.segment_max(x.tensor, seg, 5), w).sum()
 
     assert finite_difference_check(f, [x]) < 1e-6
+
+
+@st.composite
+def segmented_rows(draw, width=None, min_rows=0, per_row=False):
+    """(values, segment ids, n_segments, upstream grad) with empty segments
+    and zero rows allowed; the upstream grad has one row per segment, or per
+    input row if ``per_row``.  Values are small integers, so every summation
+    order gives the same float and ties in a segment max are common.  Half
+    the cases reach 4096 elements, where segment_sum switches from
+    ``np.add.at`` to sort + ``reduceat``."""
+    d = width or draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        lo = -(-4096 // d)
+        rows = draw(st.integers(lo, lo + 40))
+    else:
+        rows = draw(st.integers(min_rows, min(4095 // d, 60)))
+    n_seg = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.integers(-3, 4, size=(rows, d)).astype(float)
+    seg = rng.integers(0, n_seg, size=rows)
+    upstream = rng.integers(-3, 4, size=(rows if per_row else n_seg, d)).astype(float)
+    return vals, seg, n_seg, upstream
+
+
+def _value_and_grad(op, vals, seg, n_seg, upstream):
+    x = Tensor(vals, requires_grad=True)
+    out = op(x, seg, n_seg)
+    backward(T.mul(out, Tensor(upstream)).sum())
+    return out.values, x.grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=segmented_rows())
+def test_segment_sum_property_matches_per_segment_loop(case):
+    vals, seg, n_seg, upstream = case
+    got, grad = _value_and_grad(T.segment_sum, vals, seg, n_seg, upstream)
+    want = np.zeros((n_seg, vals.shape[1]))
+    want_grad = np.zeros_like(vals)
+    for s in range(n_seg):
+        members = seg == s
+        want[s] = vals[members].sum(axis=0)
+        want_grad[members] = upstream[s]
+    assert np.array_equal(got, want)
+    assert np.array_equal(grad, want_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=segmented_rows())
+def test_segment_max_property_matches_per_segment_loop(case):
+    # the gradient goes to the first row attaining each (segment, column) max
+    vals, seg, n_seg, upstream = case
+    got, grad = _value_and_grad(T.segment_max, vals, seg, n_seg, upstream)
+    want = np.zeros((n_seg, vals.shape[1]))
+    want_grad = np.zeros_like(vals)
+    for s in range(n_seg):
+        members = np.flatnonzero(seg == s)
+        if not members.size:
+            continue
+        for c in range(vals.shape[1]):
+            first = members[np.argmax(vals[members, c])]
+            want[s, c] = vals[first, c]
+            want_grad[first, c] = upstream[s, c]
+    assert np.array_equal(got, want)
+    assert np.array_equal(grad, want_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=segmented_rows(width=1, min_rows=1, per_row=True))
+def test_segment_softmax_property_matches_per_segment_loop(case):
+    vals, seg, n_seg, upstream = case
+    vals = vals * 0.7  # non-integer scores
+    got, grad = _value_and_grad(T.segment_softmax, vals, seg, n_seg, upstream)
+    want = np.zeros_like(vals)
+    want_grad = np.zeros_like(vals)
+    for s in range(n_seg):
+        members = np.flatnonzero(seg == s)
+        if not members.size:
+            continue
+        x = vals[members, 0]
+        y = np.exp(x - x.max()) / np.exp(x - x.max()).sum()
+        jacobian = np.diag(y) - np.outer(y, y)
+        want[members, 0] = y
+        want_grad[members, 0] = jacobian.T @ upstream[members, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+
+
+def test_segment_softmax_zero_rows_errors():
+    with pytest.raises(ValueError, match="no scores"):
+        T.segment_softmax(Tensor(np.zeros((0, 1))), np.zeros(0, dtype=int), 3)
 
 
 def test_gather_rows_forward_and_grad():
