@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -21,6 +22,10 @@ ABLATION_CHOICES = (
 
 class ConfigError(ValueError):
     pass
+
+
+# the JSON types each annotated field type accepts; a bool is not an int
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -43,6 +48,10 @@ class RunConfig:
     min_flow: float = 0.0
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.layers not in LAYER_CHOICES:
             raise ConfigError(f"layers must be one of {LAYER_CHOICES}, got {self.layers}")
         if self.layers_road not in LAYER_CHOICES:
@@ -97,6 +106,9 @@ class RunConfig:
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
+            kind = known[key].type
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
             kwargs[key] = value
         return RunConfig(**kwargs)
 

@@ -232,18 +232,12 @@ def load_dataset(directory) -> Dataset:
             except GraphValidationError as exc:
                 problems.append(str(exc))
 
-    hierarchy = Hierarchy(dict(node_community), dict(community_region))
-    if not problems:
-        problems.extend(
-            hierarchy.validate({r: g.node_ids for r, g in road_graphs.items()})
-        )
-
     if problems:
         raise DatasetError("dataset validation failed:\n" + "\n".join(problems))
 
     return Dataset(
         road_graphs=road_graphs,
-        hierarchy=hierarchy,
+        hierarchy=Hierarchy(dict(node_community), dict(community_region)),
         community_od=community_od,
         region_od=region_od,
         region_adjacency=adjacency,

@@ -150,30 +150,6 @@ class Hierarchy:
     def communities_of(self, region_id: str) -> list[str]:
         return self._communities[region_id]
 
-    def validate(self, node_ids_by_region: dict[str, list[str]]) -> list[str]:
-        """Totality and partition checks; returns a list of problems."""
-        problems = []
-        members = {c: 0 for c in self.community_to_region}
-        for region_id, node_ids in node_ids_by_region.items():
-            for nid in node_ids:
-                community = self.node_to_community.get(nid)
-                if community is None:
-                    problems.append(f"node {nid} has no community affiliation")
-                    continue
-                members[community] = members.get(community, 0) + 1
-                region = self.community_to_region.get(community)
-                if region is None:
-                    problems.append(f"community {community} has no region affiliation")
-                elif region != region_id:
-                    problems.append(
-                        f"node {nid} sits in region {region_id} but its community "
-                        f"{community} belongs to {region}"
-                    )
-        for community, count in members.items():
-            if count == 0:
-                problems.append(f"community {community} has no member intersections")
-        return problems
-
 
 @dataclass
 class ODFlow:

@@ -97,12 +97,27 @@ class NormStats:
                 f"stats keys do not match (missing {sorted(names - set(data))}, "
                 f"extra {sorted(set(data) - names)})"
             )
-        return NormStats(
-            **{
-                f.name: np.array(data[f.name]) if f.type == "np.ndarray" else data[f.name]
-                for f in fields(NormStats)
-            }
-        )
+        values = {}
+        for f in fields(NormStats):
+            vector = f.type == "np.ndarray"
+            value = _finite_numbers(data[f.name], int(vector), f"stats {f.name}")
+            values[f.name] = value if vector else float(value)
+        return NormStats(**values)
+
+
+def _finite_numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A JSON number (``ndim`` 0) or list of numbers (``ndim`` 1) as float64.
+
+    Strings, booleans, nesting and non-finite numbers raise CheckpointError.
+    """
+    kind = "a list of finite numbers" if ndim else "a finite number"
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nested lists
+        raise CheckpointError(f"{what} is not {kind}")
+    if arr.ndim != ndim or arr.dtype.kind not in "fi" or not np.isfinite(arr).all():
+        raise CheckpointError(f"{what} is not {kind}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _safe_std(values: np.ndarray, axis=None) -> np.ndarray:
@@ -676,12 +691,14 @@ def load_checkpoint(path) -> EmissionModel:
     for name, entry in saved.items():
         if not isinstance(entry, dict) or not {"shape", "values"} <= set(entry):
             raise CheckpointError(f"parameter {name}: entry needs shape and values")
+        if not isinstance(entry["shape"], list):
+            raise CheckpointError(f"parameter {name}: shape is not a list")
         shape = tuple(entry["shape"])
         if shape != own[name].values.shape:
             raise CheckpointError(
                 f"parameter {name}: checkpoint shape {shape} vs model {own[name].values.shape}"
             )
-        values = np.array(entry["values"], dtype=np.float64)
+        values = _finite_numbers(entry["values"], 1, f"parameter {name}: values")
         if values.size != own[name].values.size:
             raise CheckpointError(f"parameter {name}: {values.size} values do not fill {shape}")
         own[name].tensor.values = values.reshape(shape)

@@ -4,6 +4,10 @@ Implements exactly the primitive set the emission model's forward pass
 needs.  All tensors are 2-D; broadcasting is limited to the column-vector
 and scalar cases the model actually uses.  Gradients accumulate across
 backward calls; the caller zeroes them between optimizer steps.
+
+Every segment reduction uses one idiom: each (segment, column) cell of the
+output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
+slots reduces the input rows in input order.
 """
 
 from __future__ import annotations
@@ -109,20 +113,16 @@ def _result(values: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
     return out
 
 
+def _slots(seg: np.ndarray, d: int) -> np.ndarray:
+    """Flat index of each (segment, column) cell of a row-major (segments, d) output."""
+    return (seg[:, None] * d + np.arange(d)).ravel()
+
+
 def _segment_sum_np(vals: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
     """Sum rows of ``vals`` by segment id; empty segments give zero rows."""
-    out = np.zeros((n_segments, vals.shape[1]))
-    if seg.size == 0:
-        return out
-    if vals.size < 4096:
-        np.add.at(out, seg, vals)
-        return out
-    order = np.argsort(seg, kind="stable")
-    sorted_seg = seg[order]
-    sorted_vals = vals[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_seg)) + 1))
-    out[sorted_seg[starts]] = np.add.reduceat(sorted_vals, starts, axis=0)
-    return out
+    d = vals.shape[1]
+    sums = np.bincount(_slots(seg, d), weights=vals.ravel(), minlength=n_segments * d)
+    return sums.reshape(n_segments, d)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
     """Per-segment column-wise max; empty segments give zero rows.
 
     Gradient routes to the first row attaining the maximum in each
-    (segment, column) slot.
+    (segment, column) slot; a NaN counts as the maximum, as in ``argmax``.
     """
     seg = np.asarray(segment_of, dtype=np.int64)
     if seg.shape[0] != values.shape[0]:
@@ -359,25 +359,22 @@ def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
     if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
         raise ValueError(f"segment id out of range [0, {n_segments})")
     d = values.shape[1]
-    out_values = np.zeros((n_segments, d))
-    argmax_rows = np.full((n_segments, d), -1, dtype=np.int64)
-    for s in range(n_segments):
-        members = np.flatnonzero(seg == s)
-        if members.size == 0:
-            continue
-        block = values.values[members]
-        winners = block.argmax(axis=0)
-        out_values[s] = block[winners, np.arange(d)]
-        argmax_rows[s] = members[winners]
+    slots = _slots(seg, d)
+    flat = values.values.ravel()
+    best = np.full(n_segments * d, -np.inf)
+    np.maximum.at(best, slots, flat)
+    # the first flat position attaining its slot's maximum; a NaN wins, as in argmax
+    hit = np.flatnonzero((flat == best[slots]) | np.isnan(flat))
+    winner = np.full(n_segments * d, flat.size)
+    np.minimum.at(winner, slots[hit], hit)
+    filled = winner < flat.size
+    out_values = np.where(filled, best, 0.0).reshape(n_segments, d)
 
     def backward_fn(g):
         if values.requires_grad:
-            dx = np.zeros_like(values.values)
-            rows = argmax_rows.ravel()
-            cols = np.tile(np.arange(d), n_segments)
-            mask = rows >= 0
-            np.add.at(dx, (rows[mask], cols[mask]), g.ravel()[mask])
-            values.accumulate_grad(dx)
+            dx = np.zeros(flat.size)
+            dx[winner[filled]] = g.ravel()[filled]  # one winner per slot
+            values.accumulate_grad(dx.reshape(values.shape))
 
     return _result(out_values, (values,), backward_fn, "segment_max")
 

@@ -149,6 +149,16 @@ def test_bad_config_value_exits_1(workspace, tmp_path, capsys):
     assert "layers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["train_frac=nan", "min_flow=nan"])
+def test_non_finite_config_value_exits_1(workspace, tmp_path, capsys, line):
+    _, data, _ = workspace
+    cfg = tmp_path / "bad.txt"
+    cfg.write_text(f"data_dir={data}\n{line}\n", encoding="utf-8")
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+    assert line.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_data_dir_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("epochs=1\n", encoding="utf-8")
@@ -305,10 +315,19 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
         (lambda payload: payload["params"]["head.b2"].pop("values"), "head.b2"),
         (lambda payload: payload["params"]["head.b2"].pop("shape"), "head.b2"),
         (lambda payload: payload.update(config=[1]), "config"),
+        (lambda payload: payload["params"]["head.b2"]["values"].__setitem__(0, "x"), "head.b2"),
+        (lambda payload: payload["params"]["head.b2"]["values"].__setitem__(0, float("nan")),
+         "head.b2"),
+        (lambda payload: payload["params"]["head.b2"].update(shape=1), "head.b2"),
+        (lambda payload: payload["stats"].update(label_std=float("inf")), "label_std"),
+        (lambda payload: payload["stats"]["node_mean"].__setitem__(0, float("nan")),
+         "node_mean"),
+        (lambda payload: payload["config"].update(hidden="64"), "hidden"),
     ],
     ids=[
         "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
-        "config-not-object",
+        "config-not-object", "string-value", "nan-value", "shape-not-list", "inf-stat",
+        "nan-stat-vector", "config-wrong-type",
     ],
 )
 def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):

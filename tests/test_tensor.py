@@ -186,22 +186,25 @@ def test_segment_max_matches_group_by_oracle_and_grad():
 
 
 @st.composite
-def segmented_rows(draw, width=None, min_rows=0, per_row=False):
-    """(values, segment ids, n_segments, upstream grad) with empty segments
-    and zero rows allowed; the upstream grad has one row per segment, or per
-    input row if ``per_row``.  Values are small integers, so every summation
-    order gives the same float and ties in a segment max are common.  Half
-    the cases reach 4096 elements, where segment_sum switches from
-    ``np.add.at`` to sort + ``reduceat``."""
-    d = width or draw(st.integers(1, 8))
-    if draw(st.booleans()):
+def segmented_rows(draw, width=None, min_rows=0, per_row=False, specials=False):
+    """(values, segment ids, n_segments, upstream grad) with empty segments,
+    zero rows and (unless ``width`` is given) zero columns allowed; the
+    upstream grad has one row per segment, or per input row if ``per_row``.
+    Values are multiples of 1/7, so summation order changes the last bits
+    while ties in a segment max stay common; ``specials`` sprinkles NaN and
+    -inf entries.  Half the cases reach 4096 elements."""
+    d = draw(st.integers(0, 8)) if width is None else width
+    if d and draw(st.booleans()):
         lo = -(-4096 // d)
         rows = draw(st.integers(lo, lo + 40))
     else:
-        rows = draw(st.integers(min_rows, min(4095 // d, 60)))
+        rows = draw(st.integers(min_rows, min(4095 // max(d, 1), 60)))
     n_seg = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vals = rng.integers(-3, 4, size=(rows, d)).astype(float)
+    vals = rng.integers(-3, 4, size=(rows, d)) / 7.0
+    if specials:
+        vals[rng.random(vals.shape) < 0.05] = np.nan
+        vals[rng.random(vals.shape) < 0.05] = -np.inf
     seg = rng.integers(0, n_seg, size=rows)
     upstream = rng.integers(-3, 4, size=(rows if per_row else n_seg, d)).astype(float)
     return vals, seg, n_seg, upstream
@@ -217,22 +220,22 @@ def _value_and_grad(op, vals, seg, n_seg, upstream):
 @settings(max_examples=60, deadline=None)
 @given(case=segmented_rows())
 def test_segment_sum_property_matches_per_segment_loop(case):
+    # rows are added in input order, so the sum is bitwise the loop's
     vals, seg, n_seg, upstream = case
     got, grad = _value_and_grad(T.segment_sum, vals, seg, n_seg, upstream)
     want = np.zeros((n_seg, vals.shape[1]))
-    want_grad = np.zeros_like(vals)
-    for s in range(n_seg):
-        members = seg == s
-        want[s] = vals[members].sum(axis=0)
-        want_grad[members] = upstream[s]
+    for i in range(len(seg)):
+        want[seg[i]] += vals[i]
     assert np.array_equal(got, want)
-    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(grad, upstream[seg])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN entries
 @settings(max_examples=60, deadline=None)
-@given(case=segmented_rows())
+@given(case=segmented_rows(specials=True))
 def test_segment_max_property_matches_per_segment_loop(case):
-    # the gradient goes to the first row attaining each (segment, column) max
+    # the gradient goes to the first NaN, or else the first row attaining
+    # the maximum, of each (segment, column) slot
     vals, seg, n_seg, upstream = case
     got, grad = _value_and_grad(T.segment_max, vals, seg, n_seg, upstream)
     want = np.zeros((n_seg, vals.shape[1]))
@@ -245,7 +248,7 @@ def test_segment_max_property_matches_per_segment_loop(case):
             first = members[np.argmax(vals[members, c])]
             want[s, c] = vals[first, c]
             want_grad[first, c] = upstream[s, c]
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(grad, want_grad)
 
 
@@ -253,7 +256,6 @@ def test_segment_max_property_matches_per_segment_loop(case):
 @given(case=segmented_rows(width=1, min_rows=1, per_row=True))
 def test_segment_softmax_property_matches_per_segment_loop(case):
     vals, seg, n_seg, upstream = case
-    vals = vals * 0.7  # non-integer scores
     got, grad = _value_and_grad(T.segment_softmax, vals, seg, n_seg, upstream)
     want = np.zeros_like(vals)
     want_grad = np.zeros_like(vals)
