@@ -158,10 +158,11 @@ def cmd_train(args) -> int:
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # first: a checkpoint that cannot be written leaves no new output at all
+    save_checkpoint(model, out_dir / "checkpoint.json")
     config.to_file(out_dir / "config.txt")
     with atomic_write(out_dir / "metrics.jsonl") as fh:
         fh.writelines(_json(entry) + "\n" for entry in result.epoch_log)
-    save_checkpoint(model, out_dir / "checkpoint.json")
     summary = _json(
         {
             "best_epoch": result.best_epoch,
@@ -247,8 +248,9 @@ def cmd_dump_attention(args) -> int:
                 model.predict_region(prepared, region_id, cache, record)
                 row = {key: "" for key in header}
                 row["region_id"] = region_id
-                target = [record.region_target_idx]
-                for site, rows in (("community", slice(None)), ("region", target)):
+                for site, rows in (
+                    ("community", slice(None)), ("region", record.region_target_rows)
+                ):
                     for tag, value in _mean_beta(getattr(record, site), rows).items():
                         row[f"beta_{tag}_{site}"] = _fmt(value)
                 if record.final is not None:

@@ -7,6 +7,13 @@ community heterogeneous graph, and pools to one intra-region vector.  The
 region-level graph is evaluated against cached neighbor vectors refreshed
 once per epoch; only the target region's own row is live so gradients flow
 through its full hierarchy while neighbors act as constants.
+
+``EmissionModel.predict_batch`` is the one forward path.  It runs a batch of
+regions as disjoint unions (one block-diagonal graph, every index shifted
+past the regions before it): one intra pass per union of at most
+``UNION_ROW_BUDGET`` road rows (nodes + arcs), one region-level pass over
+the union of the targets' egos, then one fusion and head.  Training runs
+each minibatch this way; ``predict_region`` is the one-region call.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ from .tensor import Tensor, add, gather_rows, leaky_relu, matmul, no_grad, vstac
 CHECKPOINT_FORMAT = "hence-v2"  # v2: no arc updater on a stack's last layer when unread
 
 REGION_SPATIAL_FEAT_DIM = 1  # zero-vector stand-in; no cross-region segments exist
+
+# Road rows (nodes + arcs) of one intra union; a region that would push a
+# union past it starts the next one.  A whole batch of 400-intersection
+# regions in one union ran its epoch slower than one region per union, as
+# the arrays outgrow the CPU caches; 32 regions of 16 intersections (about
+# 54 rows each) fit in one union.
+UNION_ROW_BUDGET = 2048
 
 
 class CheckpointError(ValueError):
@@ -211,6 +225,127 @@ class RegionEgo:
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
+
+
+@dataclass
+class RegionUnion:
+    """Disjoint union of prepared regions, run as one graph.
+
+    Each region's node, arc, community and crossing-pair indices are
+    shifted past those of the regions before it, so no arc, pair or OD link
+    joins two regions.  ``node_region`` and ``community_region`` give each
+    row's region, by its position in the union.
+    """
+
+    node_feats: Tensor
+    arc_feats: Tensor
+    arc_src: np.ndarray
+    arc_dst: np.ndarray
+    groups: np.ndarray
+    n_communities: int
+    spatial_src: np.ndarray
+    spatial_dst: np.ndarray
+    cross_arc_idx: np.ndarray
+    cross_arc_pair: np.ndarray
+    n_cross_pairs: int
+    pair_gather: np.ndarray
+    od_src: np.ndarray
+    od_dst: np.ndarray
+    od_zflow: Tensor
+    node_region: np.ndarray
+    community_region: np.ndarray
+
+
+@dataclass
+class EgoUnion:
+    """Disjoint union of target egos; ``target_rows[j]`` is target j's row
+    and ``nodes`` the global region index of every row."""
+
+    nodes: np.ndarray
+    target_rows: np.ndarray
+    spatial_src: np.ndarray
+    spatial_dst: np.ndarray
+    spatial_feats: Tensor
+    od_src: np.ndarray
+    od_dst: np.ndarray
+    od_zflow: Tensor
+
+
+def _shifted(parts: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """Concatenate index arrays, each shifted by the sizes of the parts
+    before it; one part is returned as it is, unshifted and uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.cumsum([0] + sizes[:-1])
+    return np.concatenate([p + o for p, o in zip(parts, offsets)])
+
+
+def _stacked(parts: list[Tensor]) -> Tensor:
+    """Row-wise concatenation of constant tensors; one part is returned as it is."""
+    return parts[0] if len(parts) == 1 else Tensor(np.concatenate([t.values for t in parts]))
+
+
+def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
+    """The disjoint union of ``regions``; a region without intersections
+    is an error."""
+    for prep in regions:
+        if prep.node_feats.shape[0] == 0:
+            raise ValueError(f"region {prep.region_id} has no intersections")
+    n_nodes = [r.node_feats.shape[0] for r in regions]
+    n_arcs = [r.arc_src.size for r in regions]
+    n_comms = [len(r.community_ids) for r in regions]
+    n_pairs = [r.n_cross_pairs for r in regions]
+    positions = np.arange(len(regions))
+    return RegionUnion(
+        node_feats=_stacked([r.node_feats for r in regions]),
+        arc_feats=_stacked([r.arc_feats for r in regions]),
+        arc_src=_shifted([r.arc_src for r in regions], n_nodes),
+        arc_dst=_shifted([r.arc_dst for r in regions], n_nodes),
+        groups=_shifted([r.groups for r in regions], n_comms),
+        n_communities=sum(n_comms),
+        spatial_src=_shifted([r.spatial_src for r in regions], n_comms),
+        spatial_dst=_shifted([r.spatial_dst for r in regions], n_comms),
+        cross_arc_idx=_shifted([r.cross_arc_idx for r in regions], n_arcs),
+        cross_arc_pair=_shifted([r.cross_arc_pair for r in regions], n_pairs),
+        n_cross_pairs=sum(n_pairs),
+        pair_gather=_shifted([r.pair_gather for r in regions], n_pairs),
+        od_src=_shifted([r.od_src for r in regions], n_comms),
+        od_dst=_shifted([r.od_dst for r in regions], n_comms),
+        od_zflow=_stacked([r.od_zflow for r in regions]),
+        node_region=np.repeat(positions, n_nodes),
+        community_region=np.repeat(positions, n_comms),
+    )
+
+
+def _union_egos(egos: list[RegionEgo]) -> EgoUnion:
+    """The disjoint union of target egos, in order."""
+    sizes = [e.nodes.size for e in egos]
+    offsets = np.cumsum([0] + sizes[:-1])
+    return EgoUnion(
+        nodes=np.concatenate([e.nodes for e in egos]),
+        target_rows=offsets + np.array([e.target_local for e in egos], dtype=np.int64),
+        spatial_src=_shifted([e.spatial_src for e in egos], sizes),
+        spatial_dst=_shifted([e.spatial_dst for e in egos], sizes),
+        spatial_feats=_stacked([e.spatial_feats for e in egos]),
+        od_src=_shifted([e.od_src for e in egos], sizes),
+        od_dst=_shifted([e.od_dst for e in egos], sizes),
+        od_zflow=_stacked([e.od_zflow for e in egos]),
+    )
+
+
+def _budgeted_runs(regions: list[PreparedRegion]) -> list[list[PreparedRegion]]:
+    """Consecutive runs of ``regions``, each of at most ``UNION_ROW_BUDGET``
+    road rows unless a single region alone exceeds it."""
+    runs: list[list[PreparedRegion]] = []
+    rows = 0
+    for prep in regions:
+        size = prep.node_feats.shape[0] + prep.arc_src.size
+        if not runs or rows + size > UNION_ROW_BUDGET:
+            runs.append([])
+            rows = 0
+        runs[-1].append(prep)
+        rows += size
+    return runs
 
 
 @dataclass
@@ -382,11 +517,12 @@ class RegionCache:
 
 @dataclass
 class ForwardRecord:
-    """Attention weights collected along one region's prediction."""
+    """Attention weights collected along one prediction call; each layer
+    record covers every row of that call's unions."""
 
     community: list[HeteroLayerRecord] = field(default_factory=list)
     region: list[HeteroLayerRecord] = field(default_factory=list)
-    region_target_idx: int | None = None
+    region_target_rows: np.ndarray | None = None  # the targets' rows in the ego union
     final: AttentionRecord | None = None
 
 
@@ -509,15 +645,15 @@ class EmissionModel:
     def _hetero_forward(
         self,
         V: Tensor,
-        graph: PreparedRegion | RegionEgo,
+        graph: RegionUnion | EgoUnion,
         spatial_feats: Tensor | None,
         level: tuple,
         records: list[HeteroLayerRecord] | None,
     ) -> Tensor:
         """One heterogeneous level, (od_embed, layers, fusion), on node rows
-        ``V`` of a region's community graph or of a region-level ego.  OD arcs
-        carry a linear lift of the z-scored log flows; layer records extend
-        ``records``."""
+        ``V`` of a community-graph union or of a region-level ego union.  OD
+        arcs carry a linear lift of the z-scored log flows; layer records
+        extend ``records``."""
         od_embed, layers, fusion = level
         typed = []
         if self.use_spatial:
@@ -532,75 +668,108 @@ class EmissionModel:
         return v_out
 
     def intra_representation(
-        self, prep: PreparedRegion, record: ForwardRecord | None = None
+        self, regions: list[PreparedRegion], record: ForwardRecord | None = None
     ) -> Tensor:
-        """Region vector pooled from its community-level graph outputs."""
-        if prep.node_feats.shape[0] == 0:
-            raise ValueError(f"region {prep.region_id} has no intersections")
+        """One region vector per region, ``(len(regions), d)``, pooled from
+        its community-level graph outputs; the regions run as one disjoint
+        union."""
+        union = _union_regions(regions)
         phi = self.config.pooling
         v_road, e_road, _ = stack_egat(
-            prep.node_feats, prep.arc_feats, prep.arc_src, prep.arc_dst, self.road_layers
+            union.node_feats, union.arc_feats, union.arc_src, union.arc_dst, self.road_layers
         )
-        n_nodes = v_road.shape[0]
         if not self.use_community:
-            return pool_nodes(phi, v_road, np.zeros(n_nodes, dtype=np.int64), 1)
+            return pool_nodes(phi, v_road, union.node_region, len(regions))
 
-        n_comm = len(prep.community_ids)
         v_comm = community_node_features(
-            phi, v_road, e_road, prep.arc_src, prep.arc_dst, prep.groups, n_comm
+            phi, v_road, e_road, union.arc_src, union.arc_dst, union.groups, union.n_communities
         )
         spatial_feats = None
         if self.use_spatial:
             # pooled connector-segment features, one row per crossing pair,
             # duplicated onto the symmetric arc pair
-            crossing = gather_rows(e_road, prep.cross_arc_idx)
-            pair_feats = pool_nodes(phi, crossing, prep.cross_arc_pair, prep.n_cross_pairs)
-            spatial_feats = gather_rows(pair_feats, prep.pair_gather)
+            crossing = gather_rows(e_road, union.cross_arc_idx)
+            pair_feats = pool_nodes(phi, crossing, union.cross_arc_pair, union.n_cross_pairs)
+            spatial_feats = gather_rows(pair_feats, union.pair_gather)
         level = (self.community_od_embed, self.community_layers, self.community_fusion)
         v_out = self._hetero_forward(
-            v_comm, prep, spatial_feats, level, None if record is None else record.community
+            v_comm, union, spatial_feats, level, None if record is None else record.community
         )
-        return pool_nodes(phi, v_out, np.zeros(n_comm, dtype=np.int64), 1)
+        return pool_nodes(phi, v_out, union.community_region, len(regions))
 
     def inter_representation(
         self,
         prepared: PreparedData,
-        region_id: str,
+        region_ids: list[str],
         live_intra: Tensor,
         cache: RegionCache,
         record: ForwardRecord | None = None,
     ) -> Tensor:
-        """Target row of the region-level graph run against cached neighbors.
+        """Target rows of the region-level graph run against cached
+        neighbors, ``(len(region_ids), d)``; ``live_intra`` holds the
+        targets' live rows in the same order.
 
-        Evaluated on the target's precomputed receptive-field subgraph, which
-        reproduces the full-graph target row exactly.  All rows except the
-        target's are cache constants; only the live row carries gradient.
+        Evaluated on the disjoint union of the targets' precomputed
+        receptive-field subgraphs, which reproduces each full-graph target
+        row exactly.  Every row except a target's own is a cache constant,
+        another batch target's row inside an ego included; only the live
+        rows carry gradient.
         """
-        if region_id not in cache.reps:
-            raise ValueError(f"region {region_id} missing from cache (epoch {cache.epoch})")
+        for region_id in region_ids:
+            if region_id not in cache.reps:
+                raise ValueError(f"region {region_id} missing from cache (epoch {cache.epoch})")
         if prepared.ego_hops < len(self.region_layers):
             raise ValueError(
                 f"prepared data carved {prepared.ego_hops}-hop subgraphs but the "
                 f"region stack is {len(self.region_layers)} layers deep"
             )
-        ego = prepared.egos[region_id]
+        union = _union_egos([prepared.egos[r] for r in region_ids])
         ids = prepared.region_ids
-        t = ego.target_local
-        rows = np.concatenate([cache.reps[ids[g]] for g in ego.nodes.tolist()], axis=0)
-        node_feats = vstack([Tensor(rows[:t]), live_intra, Tensor(rows[t + 1 :])])
+        n_rows = union.nodes.size
+        cached = np.concatenate([cache.reps[ids[g]] for g in union.nodes.tolist()], axis=0)
+        # row n_rows + j of the stacked matrix is target j's live row
+        take = np.arange(n_rows)
+        take[union.target_rows] = n_rows + np.arange(len(region_ids))
+        node_feats = gather_rows(vstack([Tensor(cached), live_intra]), take)
         level = (self.region_od_embed, self.region_layers, self.region_fusion)
         v_out = self._hetero_forward(
-            node_feats, ego, ego.spatial_feats, level, None if record is None else record.region
+            node_feats, union, union.spatial_feats, level,
+            None if record is None else record.region,
         )
         if record is not None:
-            record.region_target_idx = t
-        return gather_rows(v_out, np.array([t], dtype=np.int64))
+            record.region_target_rows = union.target_rows
+        return gather_rows(v_out, union.target_rows)
 
     def _head_forward(self, x: Tensor) -> Tensor:
         hidden = leaky_relu(
             add(matmul(x, self.head["W1"].tensor), self.head["b1"].tensor)
         )
         return add(matmul(hidden, self.head["W2"].tensor), self.head["b2"].tensor)
+
+    def predict_batch(
+        self,
+        prepared: PreparedData,
+        region_ids: list[str],
+        cache: RegionCache | None,
+        record: ForwardRecord | None = None,
+    ) -> Tensor:
+        """Normalized-space predictions, ``(len(region_ids), 1)`` in order.
+
+        One intra pass per run of regions that fits ``UNION_ROW_BUDGET``,
+        one region-level pass over the union of the targets' egos, one
+        fusion and one head over all rows.
+        """
+        runs = _budgeted_runs([prepared.regions[r] for r in region_ids])
+        intra = vstack([self.intra_representation(run, record) for run in runs])
+        if not self.use_region:
+            return self._head_forward(intra)
+        inter = self.inter_representation(prepared, region_ids, intra, cache, record)
+        fused, fusion_rec = attention_fusion(
+            [("intra", intra), ("inter", inter)], self.final_fusion
+        )
+        if record is not None:
+            record.final = fusion_rec
+        return self._head_forward(fused)
 
     def predict_region(
         self,
@@ -609,17 +778,8 @@ class EmissionModel:
         cache: RegionCache | None,
         record: ForwardRecord | None = None,
     ) -> Tensor:
-        """Normalized-space scalar prediction for one region."""
-        intra = self.intra_representation(prepared.regions[region_id], record)
-        if not self.use_region:
-            return self._head_forward(intra)
-        inter = self.inter_representation(prepared, region_id, intra, cache, record)
-        fused, fusion_rec = attention_fusion(
-            [("intra", intra), ("inter", inter)], self.final_fusion
-        )
-        if record is not None:
-            record.final = fusion_rec
-        return self._head_forward(fused)
+        """Normalized-space scalar prediction for one region: the one-region batch."""
+        return self.predict_batch(prepared, [region_id], cache, record)
 
 
 def set_ablation(model: EmissionModel, variant: str) -> EmissionModel:
@@ -637,7 +797,7 @@ def refresh_region_cache(
     """
     with no_grad():
         reps = {
-            rid: model.intra_representation(prepared.regions[rid]).values.copy()
+            rid: model.intra_representation([prepared.regions[rid]]).values.copy()
             for rid in prepared.region_ids
         }
     return RegionCache(epoch=epoch, reps=reps)
@@ -658,7 +818,7 @@ def save_checkpoint(model: EmissionModel, path) -> None:
         },
     }
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, allow_nan=False)
 
 
 def load_checkpoint(path) -> EmissionModel:

@@ -11,9 +11,13 @@ import numpy as np
 from .config import RunConfig
 from .model import EmissionModel, PreparedData, RegionCache, refresh_region_cache
 from .optim import Adam
-from .tensor import Tensor, backward, mse_loss, no_grad, vstack
+from .tensor import Tensor, backward, mse_loss, no_grad
 
 logger = logging.getLogger(__name__)
+
+
+class NonFiniteError(RuntimeError):
+    """A training step met a non-finite loss, parameter value or gradient."""
 
 
 @dataclass
@@ -82,25 +86,46 @@ class TrainResult:
     cache_fingerprints: list[tuple] = field(default_factory=list)
 
 
+def _first_non_finite(params) -> str | None:
+    """The first parameter value, else the first gradient, holding a
+    non-finite number; values come first because a bad value spoils every
+    gradient."""
+    for what in ("value", "gradient"):
+        for p in params:
+            arr = p.values if what == "value" else p.grad
+            if arr is not None and not np.isfinite(arr).all():
+                return f"parameter {p.name} {what}"
+    return None
+
+
 def _train_step(
     model: EmissionModel,
     prepared: PreparedData,
     batch: list[str],
     cache: RegionCache | None,
     opt: Adam,
+    where: str,
 ) -> float:
-    """One Adam step on one minibatch; returns the batch MSE.
+    """One Adam step on one minibatch, run as one batched forward; returns
+    the batch MSE.
 
-    The step's compute graph is released on return, before the next
-    batch's forward pass is built.
+    A non-finite loss, parameter value or gradient raises NonFiniteError
+    naming ``where`` (epoch and batch) before the step changes any
+    parameter.  The step's compute graph is released on return, before the
+    next batch's forward pass is built.
     """
-    preds = vstack([model.predict_region(prepared, rid, cache) for rid in batch])
+    preds = model.predict_batch(prepared, batch, cache)
     targets = Tensor(np.array([prepared.regions[r].label_norm for r in batch]).reshape(-1, 1))
     loss = mse_loss(preds, targets)
     opt.zero_grad()
     backward(loss)
+    value = float(loss.values[0, 0])
+    bad = _first_non_finite(opt.params)
+    if bad is not None or not np.isfinite(value):
+        detail = f"loss {value}" + (f", {bad} is not finite" if bad else "")
+        raise NonFiniteError(f"{where}: non-finite training step: {detail}")
     opt.step()
-    return float(loss.values[0, 0])
+    return value
 
 
 def train(
@@ -118,6 +143,8 @@ def train(
     train MSE and validation metrics computed against the same cache.  The
     best-validation-R^2 parameter snapshot is restored at the end.  Early
     stopping after ``patience`` epochs without improvement (0 disables).
+    A step with a non-finite loss, parameter or gradient raises
+    NonFiniteError.
     """
     config = config or model.config
     train_ids, val_ids, _ = splits
@@ -147,9 +174,10 @@ def train(
         order = list(np.array(train_ids)[shuffle_rng.permutation(len(train_ids))])
         sq_err_sum = 0.0
         count = 0
-        for lo in range(0, len(order), config.batch_size):
+        for index, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = order[lo : lo + config.batch_size]
-            batch_mse = _train_step(model, prepared, batch, cache, opt)
+            where = f"epoch {epoch} batch {index}"
+            batch_mse = _train_step(model, prepared, batch, cache, opt, where)
             steps += 1
             sq_err_sum += batch_mse * len(batch)
             count += len(batch)

@@ -359,3 +359,45 @@ def test_failed_predict_keeps_previous_output(workspace, tmp_path, monkeypatch):
     assert run_cli(*argv, "--out", out) == 2
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+
+def _poisoned_model(monkeypatch):
+    """Make ``cmd_train`` build its model with ``head.b2`` set to NaN."""
+
+    build = cli.EmissionModel
+
+    def poisoned(config, stats):
+        model = build(config, stats)
+        model.head["b2"].tensor.values[...] = float("nan")
+        return model
+
+    monkeypatch.setattr(cli, "EmissionModel", poisoned)
+
+
+def _train_outputs(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+def test_non_finite_parameter_stops_training_exit_2(workspace, tmp_path, monkeypatch, caplog):
+    _, _, cfg = workspace
+    _poisoned_model(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--out", out, "--epochs", 1, "--hidden", 8) == 2
+    assert "epoch 0 batch 0: non-finite training step" in caplog.text
+    assert "parameter head.b2 value is not finite" in caplog.text
+    assert _train_outputs(out) == []
+
+
+def test_non_finite_checkpoint_is_not_written_exit_2(workspace, tmp_path, monkeypatch, caplog):
+    from roadcarbon.train import TrainResult
+
+    _, _, cfg = workspace
+    _poisoned_model(monkeypatch)
+    # skip training, so the NaN parameter reaches save_checkpoint
+    monkeypatch.setattr(
+        cli, "train", lambda *args: TrainResult([], 0, float("nan"), 0, 0)
+    )
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--out", out, "--epochs", 1, "--hidden", 8) == 2
+    assert "JSON compliant" in caplog.text
+    assert _train_outputs(out) == []

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from roadcarbon.config import RunConfig
-from roadcarbon.data import Dataset
+from roadcarbon import model as model_module
+from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
+from roadcarbon.data import Dataset, split_dataset
 from roadcarbon.graphs import Hierarchy, build_road_graph, pool_nodes
 from roadcarbon.model import (
     CHECKPOINT_FORMAT,
     CheckpointError,
     EmissionModel,
     ForwardRecord,
+    RegionCache,
     fit_normalization,
     load_checkpoint,
     prepare_dataset,
@@ -17,7 +19,7 @@ from roadcarbon.model import (
     set_ablation,
 )
 from roadcarbon.synth import SynthParams, generate_synthetic
-from roadcarbon.tensor import Tensor, backward, no_grad, vstack
+from roadcarbon.tensor import Tensor, backward, mse_loss, no_grad, vstack
 
 
 SMALL = RunConfig(hidden=8, layers=2, layers_road=2, seed=3, epochs=2)
@@ -44,7 +46,7 @@ def test_parameter_names_unique_and_pathlike(setting):
 
 def test_intra_rep_shape(setting):
     _, _, model, prep = setting
-    out = model.intra_representation(prep.regions[prep.region_ids[0]])
+    out = model.intra_representation([prep.regions[prep.region_ids[0]]])
     assert out.shape == (1, SMALL.hidden)
 
 
@@ -52,7 +54,7 @@ def test_intra_gradient_reaches_road_params(setting):
     _, _, model, prep = setting
     for p in model.parameters():
         p.tensor.grad = None
-    out = model.intra_representation(prep.regions[prep.region_ids[0]])
+    out = model.intra_representation([prep.regions[prep.region_ids[0]]])
     backward(out.sum())
     grads = [np.abs(layer.W.grad).max() for layer in model.road_layers]
     assert all(g > 0 for g in grads)
@@ -65,7 +67,7 @@ def test_single_community_region_intra_equals_hetero_output():
     prep = prepare_dataset(ds, stats, hops=SMALL.layers)
     rid = ds.region_ids[0]
     record = ForwardRecord()
-    intra = model.intra_representation(prep.regions[rid], record)
+    intra = model.intra_representation([prep.regions[rid]], record)
     # one community: the pooled region vector is the single community row, and
     # with no other area the hetero stack sees self-loops only
     assert intra.shape == (1, SMALL.hidden)
@@ -97,8 +99,8 @@ def test_inter_grads_flow_via_live_row_only(setting):
     # live path: road params receive gradient
     for p in model.parameters():
         p.tensor.grad = None
-    live = model.intra_representation(prep.regions[rid])
-    out = model.inter_representation(prep, rid, live, cache)
+    live = model.intra_representation([prep.regions[rid]])
+    out = model.inter_representation(prep, [rid], live, cache)
     backward(out.sum())
     assert np.abs(model.road_layers[0].W.grad).max() > 0
     assert np.abs(model.region_layers[0]["od"].W.grad).max() > 0
@@ -107,7 +109,7 @@ def test_inter_grads_flow_via_live_row_only(setting):
     for p in model.parameters():
         p.tensor.grad = None
     detached = Tensor(cache.reps[rid])
-    out = model.inter_representation(prep, rid, detached, cache)
+    out = model.inter_representation(prep, [rid], detached, cache)
     backward(out.sum())
     assert model.road_layers[0].W.grad is None
     assert np.abs(model.region_layers[0]["od"].W.grad).max() > 0
@@ -115,13 +117,11 @@ def test_inter_grads_flow_via_live_row_only(setting):
 
 def test_inter_missing_cache_entry_errors(setting):
     _, _, model, prep = setting
-    from roadcarbon.model import RegionCache
-
     cache = RegionCache(epoch=0, reps={})
     rid = prep.region_ids[0]
     live = Tensor(np.zeros((1, SMALL.hidden)))
     with pytest.raises(ValueError, match="missing from cache"):
-        model.inter_representation(prep, rid, live, cache)
+        model.inter_representation(prep, [rid], live, cache)
 
 
 def path_adjacency_dataset(n=6, seed=2):
@@ -147,19 +147,19 @@ def test_inter_receptive_field_on_path_graph():
     cache = refresh_region_cache(model, prep, epoch=0)
     rid = ids[0]
     with no_grad():
-        live = model.intra_representation(prep.regions[rid])
-        base = model.inter_representation(prep, rid, live, cache).values.copy()
+        live = model.intra_representation([prep.regions[rid]])
+        base = model.inter_representation(prep, [rid], live, cache).values.copy()
 
         # neighbor (1 hop): output changes
         pristine = cache.reps[ids[1]].copy()
         cache.reps[ids[1]] = pristine + 0.5
-        moved = model.inter_representation(prep, rid, live, cache).values.copy()
+        moved = model.inter_representation(prep, [rid], live, cache).values.copy()
         assert np.max(np.abs(moved - base)) > 1e-9
         cache.reps[ids[1]] = pristine
 
         # beyond L hops (distance 4 > 2): no change at all
         cache.reps[ids[4]] = cache.reps[ids[4]] + 10.0
-        far = model.inter_representation(prep, rid, live, cache).values.copy()
+        far = model.inter_representation(prep, [rid], live, cache).values.copy()
         assert np.max(np.abs(far - base)) == 0.0
 
 
@@ -196,7 +196,7 @@ def test_no_region_level_predicts_head_of_intra(setting):
     rid = prep.region_ids[0]
     with no_grad():
         pred = model.predict_region(prep, rid, None).values.copy()
-        intra = model.intra_representation(prep.regions[rid])
+        intra = model.intra_representation([prep.regions[rid]])
         direct = model._head_forward(intra).values.copy()
     assert np.array_equal(pred, direct)
 
@@ -237,7 +237,7 @@ def test_no_community_level_pools_road_reps_directly(setting):
     model = EmissionModel(SMALL.with_overrides(ablation="no_community_level"), stats)
     rid = prep.region_ids[0]
     with no_grad():
-        intra = model.intra_representation(prep.regions[rid])
+        intra = model.intra_representation([prep.regions[rid]])
         from roadcarbon.layers import stack_egat
 
         r = prep.regions[rid]
@@ -344,7 +344,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, setting, monkeypatch):
     save_checkpoint(model, path)
     before = path.read_bytes()
 
-    def torn_dump(payload, fh):
+    def torn_dump(payload, fh, **kwargs):
         fh.write(json.dumps(payload)[:100])
         raise OSError("disk full")
 
@@ -442,7 +442,7 @@ def test_single_community_intra_is_identity_pool():
     from roadcarbon.layers import stack_egat, stack_hetero
 
     with no_grad():
-        intra = model.intra_representation(r)
+        intra = model.intra_representation([r])
         v_road, e_road, _ = stack_egat(
             r.node_feats, r.arc_feats, r.arc_src, r.arc_dst, model.road_layers
         )
@@ -475,11 +475,11 @@ def test_isolated_region_inter_depends_only_on_live_row():
     cache = refresh_region_cache(model, prep, 0)
     rid = prep.region_ids[0]
     with no_grad():
-        live = model.intra_representation(prep.regions[rid])
-        base = model.inter_representation(prep, rid, live, cache).values.copy()
+        live = model.intra_representation([prep.regions[rid]])
+        base = model.inter_representation(prep, [rid], live, cache).values.copy()
         for other in prep.region_ids[1:]:
             cache.reps[other] = cache.reps[other] + 123.0
-        moved = model.inter_representation(prep, rid, live, cache).values.copy()
+        moved = model.inter_representation(prep, [rid], live, cache).values.copy()
     assert np.array_equal(base, moved)
 
 
@@ -514,3 +514,142 @@ def test_alternate_pooling_functions_run_end_to_end(setting):
             out = model.predict_region(prep, prep.region_ids[0], cache)
         assert out.shape == (1, 1)
         assert np.isfinite(out.values[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# batched forward: disjoint unions against the one-region path
+
+VARIANTS = [(a, p) for a in ABLATION_CHOICES for p in POOLING_CHOICES]
+# the all-singleton split and the one-union split
+BUDGETS = (1, 10**9)
+
+# (world, config, train regions to batch or None for all): the worlds of
+# acceptance criteria 1 and 4 and the acceptance world's first train batch
+UNION_WORLDS = {
+    "criterion-1": (
+        SynthParams(n_regions=3, grid_side=3, communities=2, seed=17, noise_std=0.1),
+        RunConfig(hidden=4, layers=2, layers_road=2, seed=3),
+        None,
+    ),
+    "criterion-4-400": (
+        SynthParams(n_regions=4, grid_side=3, communities=4, seed=400),
+        RunConfig(hidden=8, layers=2, layers_road=2, seed=5),
+        None,
+    ),
+    "criterion-4-401": (
+        SynthParams(n_regions=4, grid_side=3, communities=4, seed=401),
+        RunConfig(hidden=8, layers=2, layers_road=2, seed=5),
+        None,
+    ),
+    "acceptance": (SynthParams(n_regions=200, seed=42, noise_std=0.1), RunConfig(seed=2), 32),
+}
+
+
+def union_world(name):
+    params, config, batch_size = UNION_WORLDS[name]
+    ds = generate_synthetic(params)
+    if batch_size is None:
+        train_ids = batch = ds.region_ids
+    else:
+        train_ids = split_dataset(ds, config.fractions, config.seed)[0]
+        batch = train_ids[:batch_size]
+    stats = fit_normalization(ds, train_ids)
+    prep = prepare_dataset(ds, stats, hops=config.layers)
+    # random cache rows, unequal to every live row, so a target row taken
+    # from the cache instead of the live pass shows in values and gradients
+    rng = np.random.default_rng(11)
+    cache = RegionCache(
+        epoch=0, reps={r: rng.normal(size=(1, config.hidden)) for r in prep.region_ids}
+    )
+    return config, stats, prep, cache, batch
+
+
+def loss_and_grads(model, prep, batch, forward):
+    params = model.parameters()
+    for p in params:
+        p.tensor.grad = None
+    preds = forward()
+    targets = Tensor(np.array([prep.regions[r].label_norm for r in batch]).reshape(-1, 1))
+    backward(mse_loss(preds, targets))
+    grads = {p.name: p.grad.copy() for p in params}
+    for p in params:
+        p.tensor.grad = None
+    return preds.values.copy(), grads
+
+
+@pytest.mark.parametrize("world", list(UNION_WORLDS))
+def test_predict_batch_matches_per_region_path(world, monkeypatch):
+    config, stats, prep, cache, batch = union_world(world)
+    for ablation, pooling in VARIANTS:
+        model = EmissionModel(config.with_overrides(ablation=ablation, pooling=pooling), stats)
+        use_cache = cache if model.use_region else None
+        want_pred, want_grads = loss_and_grads(
+            model, prep, batch,
+            lambda: vstack([model.predict_region(prep, r, use_cache) for r in batch]),
+        )
+        for budget in BUDGETS:
+            monkeypatch.setattr(model_module, "UNION_ROW_BUDGET", budget)
+            got_pred, got_grads = loss_and_grads(
+                model, prep, batch, lambda: model.predict_batch(prep, batch, use_cache)
+            )
+            where = (world, ablation, pooling, budget)
+            assert got_pred.shape == (len(batch), 1)
+            assert np.abs(got_pred - want_pred).max() <= 1e-12, where
+            for name, want in want_grads.items():
+                scale = np.abs(want).max()
+                assert np.abs(got_grads[name] - want).max() <= 1e-10 * scale, (where, name)
+
+
+def test_union_budget_splits_intra_passes(monkeypatch):
+    config, stats, prep, cache, batch = union_world("criterion-4-400")
+    model = EmissionModel(config, stats)
+    calls = []
+    intra = model.intra_representation
+
+    def counted(regions, record=None):
+        calls.append(len(regions))
+        return intra(regions, record)
+
+    monkeypatch.setattr(model, "intra_representation", counted)
+    rows = [prep.regions[r].node_feats.shape[0] + prep.regions[r].arc_src.size for r in batch]
+    for budget, runs in ((1, [1] * 4), (sum(rows[:2]), [2, 2]), (sum(rows), [4])):
+        monkeypatch.setattr(model_module, "UNION_ROW_BUDGET", budget)
+        calls.clear()
+        with no_grad():
+            model.predict_batch(prep, batch, cache)
+        assert calls == runs, budget
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_batched_loss_directional_derivative(budget, monkeypatch):
+    """<grad, u> of a three-region batched loss against a central difference
+    along a seeded unit direction u, the cache held fixed."""
+    monkeypatch.setattr(model_module, "UNION_ROW_BUDGET", budget)
+    config, stats, prep, cache, batch = union_world("criterion-1")
+    assert len(batch) == 3
+    model = EmissionModel(config, stats)
+    targets = Tensor(np.array([prep.regions[r].label_norm for r in batch]).reshape(-1, 1))
+
+    def loss():
+        return mse_loss(model.predict_batch(prep, batch, cache), targets)
+
+    params = model.parameters()
+    _, grads = loss_and_grads(model, prep, batch, lambda: model.predict_batch(prep, batch, cache))
+    rng = np.random.default_rng(101)
+    direction = {p.name: rng.standard_normal(p.values.shape) for p in params}
+    norm = np.sqrt(sum(float((d * d).sum()) for d in direction.values()))
+    analytic = sum(float((grads[n] * d).sum()) for n, d in direction.items()) / norm
+
+    h = 1e-5
+    saved = {p.name: p.values.copy() for p in params}
+    losses = []
+    with no_grad():
+        for sign in (1.0, -1.0):
+            for p in params:
+                p.tensor.values = saved[p.name] + (sign * h / norm) * direction[p.name]
+            losses.append(loss().values[0, 0])
+    for p in params:
+        p.tensor.values = saved[p.name]
+    numeric = (losses[0] - losses[1]) / (2 * h)
+    rounding = 100 * np.finfo(float).eps * max(abs(x) for x in losses) / h
+    assert abs(analytic - numeric) <= 1e-6 * abs(analytic) + rounding, (analytic, numeric)
