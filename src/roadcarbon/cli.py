@@ -178,6 +178,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_out(out: str) -> None:
+    """Reject an output path that cannot be written, before any work is done."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _load_for_inference(checkpoint_path: str, data_dir: str):
     model = load_checkpoint(checkpoint_path)
     if model.stats is None:
@@ -208,6 +217,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_out(args.out)
     model, dataset, prepared, cache = _load_for_inference(args.checkpoint, args.data)
     preds = predict_split(model, prepared, prepared.region_ids, cache)
     with atomic_write(args.out) as fh:
@@ -229,6 +239,7 @@ def _mean_beta(records, rows) -> dict[str, float]:
 
 
 def cmd_dump_attention(args) -> int:
+    _check_out(args.out)
     model, dataset, prepared, cache = _load_for_inference(args.checkpoint, args.data)
     header = [
         "region_id",

@@ -4,13 +4,18 @@ The convolution scores each arc from the concatenated (destination node,
 arc feature, source node) triple, normalizes scores over every
 destination's incoming arcs, and sums the attention-weighted transformed
 source features.  Every node's self-loop is a padded arc: the n loops
-follow the m real arcs with zero-vector arc features, so one triple matrix
-scores both and isolated nodes keep their own transformed signal.  Only the
-first m rows (the real arcs) feed the updated arc features.
+follow the m real arcs, so one score pass covers both and isolated nodes
+keep their own transformed signal.
 
 Arc features are updated from the same triple for the next layer to
-consume.  The terminal layer of a stack whose arcs nothing reads carries
-no arc updater (``EgatParams.A`` is None) and returns None for its arcs.
+consume.  The score map and the arc update are both linear in the triple
+before any nonlinearity, so ``tensor.arc_linear`` applies their destination
+and source row blocks to the n node rows and gathers the products per arc,
+the split GAT makes: the triple matrix is never materialised, and a
+self-loop's arc term is zero by construction, as the loops lie past the m
+arc feature rows.  The terminal layer of a stack whose arcs nothing reads
+carries no arc updater (``EgatParams.A`` is None) and returns None for its
+arcs.
 
 ``stack_egat`` chains convolutions over one arc set.  ``stack_hetero`` runs
 a heterogeneous graph with typed arc sets (spatial ``rn`` and OD ``od``):
@@ -29,8 +34,8 @@ from .optim import Parameter, xavier_uniform, zeros
 from .tensor import (
     Tensor,
     add,
+    arc_linear,
     gather_rows,
-    hstack,
     leaky_relu,
     matmul,
     mul,
@@ -141,15 +146,12 @@ def egat_layer(
     loops = np.arange(n, dtype=np.int64)
     full_src = np.concatenate([src, loops])
     full_dst = np.concatenate([dst, loops])
-    src_feats = gather_rows(V, full_src)
-    cat = hstack(
-        [gather_rows(V, full_dst), vstack([E, Tensor(np.zeros((n, d_e)))]), src_feats]
-    )
-    scores = leaky_relu(matmul(cat, matmul(params.U.tensor, params.a.tensor)), LEAKY_SLOPE)
+    ua = matmul(params.U.tensor, params.a.tensor)
+    scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua), LEAKY_SLOPE)
     alpha = segment_softmax(scores, full_dst, n)
-    V_out = segment_sum(mul(matmul(src_feats, params.W.tensor), alpha), full_dst, n)
-    # the real arcs are the first m rows of the triple matrix
-    E_out = None if params.A is None else matmul(gather_rows(cat, np.arange(m)), params.A.tensor)
+    messages = gather_rows(matmul(V, params.W.tensor), full_src)
+    V_out = segment_sum(mul(messages, alpha), full_dst, n)
+    E_out = None if params.A is None else arc_linear(V, E, src, dst, params.A.tensor)
 
     record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)
     return V_out, E_out, record

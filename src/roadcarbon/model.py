@@ -53,10 +53,13 @@ CHECKPOINT_FORMAT = "hence-v2"  # v2: no arc updater on a stack's last layer whe
 REGION_SPATIAL_FEAT_DIM = 1  # zero-vector stand-in; no cross-region segments exist
 
 # Road rows (nodes + arcs) of one intra union; a region that would push a
-# union past it starts the next one.  A whole batch of 400-intersection
-# regions in one union ran its epoch slower than one region per union, as
-# the arrays outgrow the CPU caches; 32 regions of 16 intersections (about
-# 54 rows each) fit in one union.
+# union past it starts the next one.  32 regions of 16 intersections (about
+# 54 rows each) fit in one union.  Interleaved one-epoch medians with the
+# node-side arc kernel, on the 200-region world of 16 intersections and on
+# 16 regions of 400: one region per union 1.93 s and 0.56 s; 2,048 rows
+# 1.33 s and 0.55 s; 8,192 rows 1.29 s and 0.54 s (both within the
+# quartile spread of 2,048); the whole batch in one union 1.29 s and 0.59 s,
+# as the 400-intersection arrays outgrow the CPU caches.
 UNION_ROW_BUDGET = 2048
 
 

@@ -8,6 +8,11 @@ backward calls; the caller zeroes them between optimizer steps.
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
 slots reduces the input rows in input order.
+
+``arc_linear`` is the one graph kernel: the rows ``[V[dst] | E | V[src]] @ M``
+of a linear map applied to every arc's (destination, arc, source) triple,
+computed from node-side products ``V M_d`` and ``V M_s`` gathered per arc, so
+the arc-count triple matrix is never formed.
 """
 
 from __future__ import annotations
@@ -271,6 +276,54 @@ def gather_rows(x: Tensor, idx) -> Tensor:
             x.accumulate_grad(_segment_sum_np(g, idx, x.shape[0]))
 
     return _result(out_values, (x,), backward_fn, "gather_rows")
+
+
+def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
+    """Rows ``[V[dst] | E | V[src]] @ M``, one per arc, without the triple.
+
+    ``M`` stacks the destination, arc and source row blocks (d_in, d_e and
+    d_in rows).  ``E`` covers the first arcs; arcs past its rows (padded
+    self-loops) have zero arc features, so their arc term vanishes.  The
+    output is ``(V M_d)[dst] + (V M_s)[src]`` plus ``E M_e`` on E's rows;
+    backward scatters the upstream rows to destination and source nodes
+    once each, then takes node-count matmuls.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n, d_in = V.shape
+    m_e, d_e = E.shape
+    if M.shape[0] != 2 * d_in + d_e:
+        raise ValueError(
+            f"arc_linear: M {M.shape} needs 2*{d_in} + {d_e} rows for nodes {V.shape} "
+            f"and arcs {E.shape}"
+        )
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ValueError(f"arc_linear: src {src.shape} and dst {dst.shape} must be equal 1-D")
+    if m_e > src.size:
+        raise ValueError(f"arc_linear: arc features {E.shape} outnumber the {src.size} arcs")
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"arc_linear: arc endpoint out of range for {n} nodes")
+    M_d, M_e, M_s = M.values[:d_in], M.values[d_in : d_in + d_e], M.values[d_in + d_e :]
+    out_values = (V.values @ M_d)[dst] + (V.values @ M_s)[src]
+    out_values[:m_e] += E.values @ M_e
+
+    def backward_fn(g):
+        g_arc = g[:m_e]
+        if E.requires_grad:
+            E.accumulate_grad(g_arc @ M_e.T)
+        if V.requires_grad or M.requires_grad:
+            g_dst = _segment_sum_np(g, dst, n)
+            g_src = _segment_sum_np(g, src, n)
+            if V.requires_grad:
+                V.accumulate_grad(g_dst @ M_d.T + g_src @ M_s.T)
+            if M.requires_grad:
+                M.accumulate_grad(
+                    np.concatenate(
+                        [V.values.T @ g_dst, E.values.T @ g_arc, V.values.T @ g_src], axis=0
+                    )
+                )
+
+    return _result(out_values, (V, E, M), backward_fn, "arc_linear")
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:

@@ -216,13 +216,27 @@ def test_config_validation_domains():
     assert RunConfig().validate() is not None
 
 
-def test_unwritable_output_exits_2(workspace):
+@pytest.mark.parametrize("command", ["predict", "dump-attention"])
+@pytest.mark.parametrize("case", ["missing-dir", "directory"])
+def test_bad_out_exits_1_before_loading(workspace, tmp_path, monkeypatch, capsys, command, case):
     root, data, _ = workspace
+    out = tmp_path / "out.csv"
+    if case == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "out.csv"
+    before = sorted(tmp_path.iterdir())
+
+    def not_reached(path):
+        raise AssertionError("the checkpoint was loaded before --out was checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", not_reached)
     code = run_cli(
-        "predict", "--checkpoint", root / "run" / "checkpoint.json",
-        "--data", data, "--out", "/nonexistent-dir/preds.csv",
+        command, "--checkpoint", root / "run" / "checkpoint.json", "--data", data, "--out", out,
     )
-    assert code == 2
+    assert code == 1
+    assert str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
 
 
 def strict_json(text):

@@ -285,6 +285,90 @@ def test_gather_rows_forward_and_grad():
     assert err < 1e-6
 
 
+def arc_triple_oracle(V, E, src, dst, M, upstream):
+    """The explicit triple: rows [V[dst] | E zero-padded to every arc | V[src]]
+    times M, and the gradients of sum(out * upstream) through that matrix."""
+    n, d_in = V.shape
+    m_e, d_e = E.shape
+    E_pad = np.vstack([E, np.zeros((len(src) - m_e, d_e))])
+    cat = np.hstack([V[dst], E_pad, V[src]])
+    d_cat = upstream @ M.T
+    dV = np.zeros_like(V)
+    np.add.at(dV, dst, d_cat[:, :d_in])
+    np.add.at(dV, src, d_cat[:, d_in + d_e :])
+    return cat @ M, dV, d_cat[:m_e, d_in : d_in + d_e], cat.T @ upstream
+
+
+def _arc_linear_case(rng, n=5, m_e=6, loops=True, d_in=3, d_e=2, k=4):
+    src, dst = rng.integers(0, n, size=m_e), rng.integers(0, n, size=m_e)
+    if loops:
+        src = np.concatenate([src, np.arange(n)])
+        dst = np.concatenate([dst, np.arange(n)])
+    V = rng.normal(size=(n, d_in))
+    E = rng.normal(size=(m_e, d_e))
+    M = rng.normal(size=(2 * d_in + d_e, k))
+    return V, E, src, dst, M
+
+
+def test_arc_linear_forward_matches_explicit_triple():
+    rng = np.random.default_rng(11)
+    V, E, src, dst, M = _arc_linear_case(rng)
+    out = T.arc_linear(Tensor(V), Tensor(E), src, dst, Tensor(M))
+    want, *_ = arc_triple_oracle(V, E, src, dst, M, np.zeros((len(src), M.shape[1])))
+    assert out.shape == want.shape
+    assert np.max(np.abs(out.values - want)) <= 1e-12
+
+
+def test_arc_linear_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    V, E, src, dst, M = _arc_linear_case(rng, n=4, m_e=5, k=2)
+    v, e, w = param(V, "V"), param(E, "E"), param(M, "M")
+    upstream = Tensor(rng.normal(size=(len(src), 2)))
+
+    def f():
+        return T.mul(T.arc_linear(v.tensor, e.tensor, src, dst, w.tensor), upstream).sum()
+
+    assert finite_difference_check(f, [v, e, w]) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m_e=st.integers(0, 10),
+    loops=st.booleans(),
+    d_in=st.integers(1, 4),
+    d_e=st.integers(0, 3),
+    k=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arc_linear_property_matches_explicit_triple(n, m_e, loops, d_in, d_e, k, seed):
+    # random endpoints repeat arcs and draw self-arcs; ``loops`` appends the
+    # padded self-loop rows past E's rows
+    rng = np.random.default_rng(seed)
+    V, E, src, dst, M = _arc_linear_case(rng, n, m_e, loops, d_in, d_e, k)
+    upstream = rng.normal(size=(len(src), k))
+    v, e, w = (Tensor(x, requires_grad=True) for x in (V, E, M))
+    out = T.arc_linear(v, e, src, dst, w)
+    backward(T.mul(out, Tensor(upstream)).sum())
+    want, dV, dE, dM = arc_triple_oracle(V, E, src, dst, M, upstream)
+    scale = 1 + np.abs(want).max(initial=0.0)
+    assert out.shape == (len(src), k)
+    assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-12 * scale
+    for got, ref in ((v.grad, dV), (e.grad, dE), (w.grad, dM)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * (1 + np.abs(ref).max(initial=0.0))
+
+
+def test_arc_linear_shape_errors_name_the_shapes():
+    V, E = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"M \(4, 1\).*\(3, 2\).*\(2, 1\)"):
+        T.arc_linear(V, E, [0, 1], [1, 2], Tensor(np.zeros((4, 1))))
+    with pytest.raises(ValueError, match=r"\(2, 1\) outnumber the 1 arcs"):
+        T.arc_linear(V, E, [0], [1], Tensor(np.zeros((5, 1))))
+    with pytest.raises(ValueError, match="out of range for 3 nodes"):
+        T.arc_linear(V, E, [0, 3], [1, 2], Tensor(np.zeros((5, 1))))
+
+
 def test_mse_loss_values():
     assert T.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).values[0, 0] == 0.0
     assert T.mse_loss(Tensor([1.0, 1.0]), Tensor([0.0, 2.0])).values[0, 0] == 1.0
