@@ -1,7 +1,8 @@
 """CSV dataset loading with referential-integrity validation, plus writing
 and deterministic region splitting.
 
-File contract (all headers mandatory, UTF-8, '.' decimal, '#' comments):
+File contract (all headers mandatory, UTF-8 with an optional byte-order mark,
+one record per line, '.' decimal, '#' comments):
     nodes.csv            region_id,community_id,node_id,rel_lon,rel_lat
     edges.csv            node_u,node_v,rel_lon,rel_lat,length_km,road_class
     od.csv               level,origin_id,dest_id,flow        (level: community|region)
@@ -11,8 +12,11 @@ File contract (all headers mandatory, UTF-8, '.' decimal, '#' comments):
 
 from __future__ import annotations
 
+import codecs
 import csv
+import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +32,9 @@ HEADERS = {
     "labels.csv": ["region_id", "emission_tco2"],
     "region_adjacency.csv": ["region_a", "region_b"],
 }
+
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class DatasetError(ValueError):
@@ -49,6 +56,10 @@ class Dataset:
 
 
 def _read_rows(path: Path, problems: list[str]):
+    """The data rows of one CSV file as ``(lineno, fields)``, problems recorded.
+
+    One record per line: an unbalanced quote stays inside its own line.
+    """
     name = path.name
     if not path.exists():
         problems.append(f"missing file {name}")
@@ -56,42 +67,63 @@ def _read_rows(path: Path, problems: list[str]):
     header = HEADERS[name]
     rows = []
     saw_header = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = next(csv.reader([line]))
-            if not saw_header:
-                if fields != header:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                # without a quote character csv's dialect splits exactly at commas
+                fields = next(csv.reader((line,))) if '"' in line else line.split(",")
+                if not saw_header:
+                    if fields != header:
+                        problems.append(
+                            f"{name}:{lineno}: expected header {','.join(header)}, got {line}"
+                        )
+                        return []
+                    saw_header = True
+                    continue
+                if len(fields) != len(header):
                     problems.append(
-                        f"{name}:{lineno}: expected header {','.join(header)}, got {line}"
+                        f"{name}:{lineno}: expected {len(header)} fields, got {len(fields)}"
                     )
-                    return []
-                saw_header = True
-                continue
-            if len(fields) != len(header):
-                problems.append(
-                    f"{name}:{lineno}: expected {len(header)} fields, got {len(fields)}"
-                )
-                continue
-            rows.append((lineno, fields))
+                    continue
+                # str.split's list reserves 12 slots; a tuple holds just the fields
+                rows.append((lineno, tuple(fields)))
+    except OSError as exc:
+        problems.append(f"{name}: cannot read: {exc.strerror or exc}")
+        return []
+    except UnicodeDecodeError:
+        problems.append(_utf8_problem(path))
+        return []
     if not saw_header:
         problems.append(f"{name}: empty file, header required")
     return rows
 
 
-def _parse_float(text: str, where: str, problems: list[str]) -> float:
+def _utf8_problem(path: Path) -> str:
+    """Cite the first byte of ``path`` that is not UTF-8 by its line, lines
+    counted as text mode with ``newline=""`` counts them."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_LINE_BREAK.findall(data[: exc.start].decode("utf-8"))) + 1
+        return f"{path.name}:{lineno}: not valid UTF-8 (byte {data[exc.start]:#04x})"
+    return f"{path.name}: not valid UTF-8"  # the file changed while it was read
+
+
+def _parse_float(text: str, name: str, lineno: int, problems: list[str]) -> float:
     """Parse one finite number.  Otherwise the problem is recorded and NaN
     returned, which fails every later range check silently."""
     try:
         value = float(text)
     except ValueError:
-        problems.append(f"{where}: not a number: {text!r}")
-        return float("nan")
-    if not np.isfinite(value):
-        problems.append(f"{where}: not a finite number: {text!r}")
-        return float("nan")
+        problems.append(f"{name}:{lineno}: not a number: {text!r}")
+        return math.nan
+    if not math.isfinite(value):
+        problems.append(f"{name}:{lineno}: not a finite number: {text!r}")
+        return math.nan
     return value
 
 
@@ -115,15 +147,14 @@ def load_dataset(directory) -> Dataset:
     community_region: dict[str, str] = {}
     nodes_by_region: dict[str, list] = {}
     for lineno, (region, community, node_id, lon_s, lat_s) in node_rows:
-        where = f"nodes.csv:{lineno}"
         if node_id in node_region:
-            problems.append(f"{where}: duplicate node id {node_id}")
+            problems.append(f"nodes.csv:{lineno}: duplicate node id {node_id}")
             continue
-        lon = _parse_float(lon_s, where, problems)
-        lat = _parse_float(lat_s, where, problems)
+        lon = _parse_float(lon_s, "nodes.csv", lineno, problems)
+        lat = _parse_float(lat_s, "nodes.csv", lineno, problems)
         if community in community_region and community_region[community] != region:
             problems.append(
-                f"{where}: community {community} already assigned to region "
+                f"nodes.csv:{lineno}: community {community} already assigned to region "
                 f"{community_region[community]}"
             )
             continue
@@ -134,19 +165,18 @@ def load_dataset(directory) -> Dataset:
 
     segments_by_region: dict[str, list] = {r: [] for r in nodes_by_region}
     for lineno, (u, v, lon_s, lat_s, len_s, cls) in edge_rows:
-        where = f"edges.csv:{lineno}"
-        lon = _parse_float(lon_s, where, problems)
-        lat = _parse_float(lat_s, where, problems)
-        length = _parse_float(len_s, where, problems)
+        lon = _parse_float(lon_s, "edges.csv", lineno, problems)
+        lat = _parse_float(lat_s, "edges.csv", lineno, problems)
+        length = _parse_float(len_s, "edges.csv", lineno, problems)
         if u not in node_region:
-            problems.append(f"{where}: unknown node {u}")
+            problems.append(f"edges.csv:{lineno}: unknown node {u}")
             continue
         if v not in node_region:
-            problems.append(f"{where}: unknown node {v}")
+            problems.append(f"edges.csv:{lineno}: unknown node {v}")
             continue
         if node_region[u] != node_region[v]:
             problems.append(
-                f"{where}: segment {u}-{v} crosses regions "
+                f"edges.csv:{lineno}: segment {u}-{v} crosses regions "
                 f"{node_region[u]} and {node_region[v]}"
             )
             continue
@@ -158,44 +188,42 @@ def load_dataset(directory) -> Dataset:
     region_od: list[ODFlow] = []
     seen_od = set()
     for lineno, (level, origin, dest, flow_s) in od_rows:
-        where = f"od.csv:{lineno}"
-        flow = _parse_float(flow_s, where, problems)
+        flow = _parse_float(flow_s, "od.csv", lineno, problems)
         if level not in ("community", "region"):
-            problems.append(f"{where}: unknown level {level!r}")
+            problems.append(f"od.csv:{lineno}: unknown level {level!r}")
             continue
         known = communities if level == "community" else regions
         bad = False
         for area in (origin, dest):
             if area not in known:
-                problems.append(f"{where}: unknown {level} {area}")
+                problems.append(f"od.csv:{lineno}: unknown {level} {area}")
                 bad = True
         if bad:
             continue
         if origin == dest:
-            problems.append(f"{where}: origin and destination are both {origin}")
+            problems.append(f"od.csv:{lineno}: origin and destination are both {origin}")
             continue
         if (level, origin, dest) in seen_od:
-            problems.append(f"{where}: duplicate OD record {level} {origin}->{dest}")
+            problems.append(f"od.csv:{lineno}: duplicate OD record {level} {origin}->{dest}")
             continue
         seen_od.add((level, origin, dest))
         if flow < 0:
-            problems.append(f"{where}: negative flow {flow}")
+            problems.append(f"od.csv:{lineno}: negative flow {flow}")
             continue
         record = ODFlow(origin, dest, level, flow)
         (community_od if level == "community" else region_od).append(record)
 
     labels: dict[str, float] = {}
     for lineno, (region, value_s) in label_rows:
-        where = f"labels.csv:{lineno}"
-        value = _parse_float(value_s, where, problems)
+        value = _parse_float(value_s, "labels.csv", lineno, problems)
         if region not in regions:
-            problems.append(f"{where}: unknown region {region}")
+            problems.append(f"labels.csv:{lineno}: unknown region {region}")
             continue
         if region in labels:
-            problems.append(f"{where}: duplicate label for region {region}")
+            problems.append(f"labels.csv:{lineno}: duplicate label for region {region}")
             continue
         if value <= 0:
-            problems.append(f"{where}: emission must be positive, got {value}")
+            problems.append(f"labels.csv:{lineno}: emission must be positive, got {value}")
             continue
         labels[region] = value
     for region in sorted(regions - set(labels)):
@@ -204,16 +232,15 @@ def load_dataset(directory) -> Dataset:
     adjacency: list[tuple[str, str]] = []
     seen_adj = set()
     for lineno, (a, b) in adj_rows:
-        where = f"region_adjacency.csv:{lineno}"
         bad = False
         for area in (a, b):
             if area not in regions:
-                problems.append(f"{where}: unknown region {area}")
+                problems.append(f"region_adjacency.csv:{lineno}: unknown region {area}")
                 bad = True
         if bad:
             continue
         if a == b:
-            problems.append(f"{where}: region adjacent to itself: {a}")
+            problems.append(f"region_adjacency.csv:{lineno}: region adjacent to itself: {a}")
             continue
         key = (min(a, b), max(a, b))
         if key in seen_adj:

@@ -90,34 +90,25 @@ def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
 
     n = len(node_ids)
     m = len(segments)
-    arc_src = np.empty(2 * m, dtype=np.int64)
-    arc_dst = np.empty(2 * m, dtype=np.int64)
+    # arc 2k runs u -> v and arc 2k + 1 runs v -> u for segment k = (u, v, ...)
+    ends = np.array([(index[s[0]], index[s[1]]) for s in segments], dtype=np.int64).reshape(m, 2)
+    seg_feats = np.array([s[2:5] for s in segments], dtype=np.float64).reshape(m, 3)
+    seg_class = np.array([road_class_index(s[5]) for s in segments], dtype=np.int64)
+    arc_src = ends.ravel()
+    arc_dst = ends[:, ::-1].ravel()
     arc_feats = np.zeros((2 * m, EDGE_FEATURE_DIM))
-    arc_length = np.empty(2 * m)
-    arc_class = np.empty(2 * m, dtype=np.int64)
-    for k, (u, v, lon, lat, length, cls) in enumerate(segments):
-        ui, vi = index[u], index[v]
-        ci = road_class_index(cls)
-        for slot, (s, d) in enumerate(((ui, vi), (vi, ui))):
-            a = 2 * k + slot
-            arc_src[a] = s
-            arc_dst[a] = d
-            arc_feats[a, 0] = lon
-            arc_feats[a, 1] = lat
-            arc_feats[a, 2] = length
-            arc_feats[a, 3 + ci] = 1.0
-            arc_length[a] = length
-            arc_class[a] = ci
+    arc_feats[:, :3] = np.repeat(seg_feats, 2, axis=0)
+    arc_class = np.repeat(seg_class, 2)
+    arc_feats[np.arange(2 * m), 3 + arc_class] = 1.0
+    arc_length = arc_feats[:, 2].copy()
 
     node_xy = np.zeros((n, 2))
+    node_xy[[index[node_id] for node_id, _, _ in nodes]] = [
+        (lon, lat) for _, lon, lat in nodes
+    ]
     node_feats = np.zeros((n, NODE_FEATURE_DIM))
-    for node_id, lon, lat in nodes:
-        i = index[node_id]
-        node_xy[i] = (lon, lat)
-        node_feats[i, 0] = lon
-        node_feats[i, 1] = lat
-    degrees = np.bincount(arc_dst, minlength=n) if m else np.zeros(n, dtype=np.int64)
-    node_feats[:, 2] = degrees
+    node_feats[:, :2] = node_xy
+    node_feats[:, 2] = np.bincount(arc_dst, minlength=n)
 
     return RoadGraph(
         region_id=region_id,

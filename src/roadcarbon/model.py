@@ -18,6 +18,7 @@ each minibatch this way; ``predict_region`` is the one-region call.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -48,7 +49,9 @@ from .layers import (
 from .optim import Parameter, check_unique_names, xavier_uniform, zeros
 from .tensor import Tensor, add, gather_rows, leaky_relu, matmul, no_grad, vstack
 
-CHECKPOINT_FORMAT = "hence-v2"  # v2: no arc updater on a stack's last layer when unread
+# v2: no arc updater on a stack's last layer when unread;
+# v3: parameter values as base64 of their little-endian float64 bytes
+CHECKPOINT_FORMAT = "hence-v3"
 
 REGION_SPATIAL_FEAT_DIM = 1  # zero-vector stand-in; no cross-region segments exist
 
@@ -810,13 +813,41 @@ def refresh_region_cache(
 # checkpoint
 
 
+def _encode_values(p: Parameter) -> str:
+    """Base64 of the parameter's little-endian float64 bytes: exact, and
+    about half the size of the shortest decimal literals.  A non-finite
+    value fails the save, as it would as a JSON number."""
+    if not np.isfinite(p.values).all():
+        raise ValueError(f"parameter {p.name}: out of range float values are not JSON compliant")
+    return base64.b64encode(p.values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode_values(text, shape: tuple, name: str) -> np.ndarray:
+    """Inverse of ``_encode_values`` for a parameter of ``shape``."""
+    if not isinstance(text, str):
+        raise CheckpointError(f"parameter {name}: values is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise CheckpointError(f"parameter {name}: values is not valid base64 ({exc})")
+    size = int(np.prod(shape))
+    if len(raw) != 8 * size:
+        raise CheckpointError(
+            f"parameter {name}: {len(raw)} bytes do not fill {shape} (needs {8 * size})"
+        )
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"parameter {name}: values are not all finite")
+    return values
+
+
 def save_checkpoint(model: EmissionModel, path) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "stats": model.stats.to_dict() if model.stats else None,
         "params": {
-            p.name: {"shape": list(p.values.shape), "values": p.values.ravel().tolist()}
+            p.name: {"shape": list(p.values.shape), "values": _encode_values(p)}
             for p in model.parameters()
         },
     }
@@ -830,8 +861,10 @@ def load_checkpoint(path) -> EmissionModel:
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}")
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {payload.get('format')!r}, "
@@ -844,6 +877,8 @@ def load_checkpoint(path) -> EmissionModel:
     stats = None if payload["stats"] is None else NormStats.from_dict(payload["stats"])
     model = EmissionModel(config, stats)
     saved = payload["params"]
+    if not isinstance(saved, dict):
+        raise CheckpointError("params is not an object")
     own = {p.name: p for p in model.parameters()}
     if set(saved) != set(own):
         missing = sorted(set(own) - set(saved))
@@ -861,8 +896,5 @@ def load_checkpoint(path) -> EmissionModel:
             raise CheckpointError(
                 f"parameter {name}: checkpoint shape {shape} vs model {own[name].values.shape}"
             )
-        values = _finite_numbers(entry["values"], 1, f"parameter {name}: values")
-        if values.size != own[name].values.size:
-            raise CheckpointError(f"parameter {name}: {values.size} values do not fill {shape}")
-        own[name].tensor.values = values.reshape(shape)
+        own[name].tensor.values = _decode_values(entry["values"], shape, name)
     return model

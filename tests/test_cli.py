@@ -1,6 +1,8 @@
+import base64
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from roadcarbon import cli
@@ -183,6 +185,29 @@ def test_corrupt_dataset_exits_1(workspace, tmp_path, capsys):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda path: path.write_bytes(path.read_bytes() + b"r\xff,1.0\n"),
+         "labels.csv:12: not valid UTF-8"),
+        (lambda path: (path.unlink(), path.mkdir()), "labels.csv: cannot read"),
+    ],
+    ids=["not-utf8", "directory"],
+)
+def test_unreadable_dataset_file_exits_1(workspace, tmp_path, capsys, corrupt, message):
+    root, data, _ = workspace
+    bad = tmp_path / "bad_data"
+    bad.mkdir()
+    for name in ("nodes.csv", "edges.csv", "od.csv", "labels.csv", "region_adjacency.csv"):
+        (bad / name).write_bytes((data / name).read_bytes())
+    corrupt(bad / "labels.csv")
+    out = tmp_path / "p.csv"
+    argv = ("predict", "--checkpoint", root / "run" / "checkpoint.json", "--data", bad)
+    assert run_cli(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_round_trips_losslessly(tmp_path):
     config = RunConfig(
         data_dir="/tmp/x", out_dir="/tmp/y", layers=4, layers_road=2, hidden=32,
@@ -306,9 +331,22 @@ def _edited_checkpoint(workspace, tmp_path, edit):
     return run_cli("predict", "--checkpoint", path, "--data", data, "--out", tmp_path / "p.csv")
 
 
+def _values(payload, name):
+    return np.frombuffer(base64.b64decode(payload["params"][name]["values"]), dtype="<f8")
+
+
+def _set_values(payload, name, values):
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    payload["params"][name]["values"] = base64.b64encode(raw).decode("ascii")
+
+
+def _set_first_value(payload, name, value):
+    _set_values(payload, name, np.r_[value, _values(payload, name)[1:]])
+
+
 def test_checkpoint_values_not_filling_shape_exit_1(workspace, tmp_path, capsys):
     code = _edited_checkpoint(
-        workspace, tmp_path, lambda payload: payload["params"]["head.b2"]["values"].clear()
+        workspace, tmp_path, lambda payload: _set_values(payload, "head.b2", [])
     )
     assert code == 1
     assert "head.b2" in capsys.readouterr().err
@@ -329,25 +367,47 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
         (lambda payload: payload["params"]["head.b2"].pop("values"), "head.b2"),
         (lambda payload: payload["params"]["head.b2"].pop("shape"), "head.b2"),
         (lambda payload: payload.update(config=[1]), "config"),
-        (lambda payload: payload["params"]["head.b2"]["values"].__setitem__(0, "x"), "head.b2"),
-        (lambda payload: payload["params"]["head.b2"]["values"].__setitem__(0, float("nan")),
-         "head.b2"),
+        (lambda payload: payload["params"]["head.b2"].update(values="x!"), "head.b2"),
+        (lambda payload: _set_first_value(payload, "head.b2", np.nan), "head.b2"),
         (lambda payload: payload["params"]["head.b2"].update(shape=1), "head.b2"),
         (lambda payload: payload["stats"].update(label_std=float("inf")), "label_std"),
         (lambda payload: payload["stats"]["node_mean"].__setitem__(0, float("nan")),
          "node_mean"),
         (lambda payload: payload["config"].update(hidden="64"), "hidden"),
+        (lambda payload: payload["params"]["head.b2"].update(values=[0.0]), "head.b2"),
+        (lambda payload: payload.update(params=["head.b2"]), "params is not an object"),
+        (lambda payload: payload.update(format="hence-v2"), "hence-v3"),
     ],
     ids=[
         "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
         "config-not-object", "string-value", "nan-value", "shape-not-list", "inf-stat",
-        "nan-stat-vector", "config-wrong-type",
+        "nan-stat-vector", "config-wrong-type", "list-values",
+        "params-not-object", "v2-format",
     ],
 )
 def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):
     assert _edited_checkpoint(workspace, tmp_path, edit) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "write, named",
+    [
+        (lambda path: path.mkdir(), "unreadable checkpoint"),
+        (lambda path: path.write_bytes(b'{"format": "hence-\xff"}'), "unreadable checkpoint"),
+        (lambda path: path.write_text("[1, 2]", encoding="utf-8"), "not a JSON object"),
+    ],
+    ids=["directory", "not-utf8", "top-level-list"],
+)
+def test_unreadable_checkpoint_exit_1(workspace, tmp_path, capsys, write, named):
+    _, data, _ = workspace
+    path = tmp_path / "ck.json"
+    write(path)
+    out = tmp_path / "p.csv"
+    assert run_cli("predict", "--checkpoint", path, "--data", data, "--out", out) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_internal_value_error_exits_2(monkeypatch, caplog):

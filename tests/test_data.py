@@ -1,5 +1,11 @@
+import codecs
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roadcarbon.data import DatasetError, load_dataset, split_dataset, write_dataset
 from roadcarbon.synth import SynthParams, generate_synthetic
@@ -89,6 +95,51 @@ def test_malformed_number_cites_line(tmp_path, name, content, message):
     with pytest.raises(DatasetError, match=message) as exc:
         load_dataset(path)
     assert len(str(exc.value).splitlines()) == 2  # the header line plus this one problem
+
+
+def test_non_utf8_byte_cites_line(tmp_path):
+    path = write_minimal(tmp_path)
+    (path / "labels.csv").write_bytes(b"region_id,emission_tco2\r\nr\xe9,0.4\r\n")
+    with pytest.raises(DatasetError, match=r"labels.csv:2: not valid UTF-8 \(byte 0xe9\)"):
+        load_dataset(path)
+
+
+def test_csv_path_that_is_a_directory_reported(tmp_path):
+    path = write_minimal(tmp_path)
+    (path / "od.csv").unlink()
+    (path / "od.csv").mkdir()
+    with pytest.raises(DatasetError, match="od.csv: cannot read"):
+        load_dataset(path)
+
+
+def test_byte_order_mark_accepted(tmp_path):
+    path = write_minimal(tmp_path)
+    for name in ("nodes.csv", "labels.csv"):
+        (path / name).write_bytes(codecs.BOM_UTF8 + (path / name).read_bytes())
+    ds = load_dataset(path)
+    assert ds.labels == {"r0": 0.4}
+    assert ds.road_graphs["r0"].node_ids == ["n0", "n1"]
+
+
+def test_quoted_fields_parse_as_csv_and_stay_on_their_line(tmp_path):
+    path = write_minimal(
+        tmp_path,
+        **{
+            "labels.csv": 'region_id,"emission_tco2"\n"r0","0.4"\n',
+            "od.csv": 'level,origin_id,dest_id,flow\ncommunity,c0,"c1,1.0\n',
+        },
+    )
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    assert str(exc.value).splitlines()[1:] == ["od.csv:2: expected 4 fields, got 3"]
+
+
+@given(st.text(st.characters(blacklist_characters='"\r\n\x00'), min_size=1, max_size=40))
+@settings(max_examples=300)
+def test_quote_free_line_splits_as_csv(line):
+    line = line.strip()  # as the loader strips each line and skips blank ones
+    assume(line)
+    assert line.split(",") == next(csv.reader([line]))
 
 
 def test_violations_collected_together(tmp_path):
@@ -183,6 +234,78 @@ def test_round_trip_write_then_load(small_dataset, tmp_path):
     assert [(r.origin, r.dest, r.flow) for r in loaded.region_od] == [
         (r.origin, r.dest, r.flow) for r in small_dataset.region_od
     ]
+
+
+def assert_bitwise_equal(a, b, where="dataset"):
+    """Recursive equality that tells -0.0 from 0.0 and compares array bytes."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_bitwise_equal(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_bitwise_equal(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), where
+    else:
+        assert a == b, where
+
+
+worlds = st.builds(
+    lambda n, side, c, seed: SynthParams(
+        n_regions=n, grid_side=side, communities=min(c, side * side), seed=seed
+    ),
+    st.integers(2, 4),
+    st.integers(2, 3),
+    st.integers(1, 9),
+    st.integers(0, 2**16),
+)
+
+# numeric columns of each file, by position
+NUMERIC = {"nodes.csv": [3, 4], "edges.csv": [2, 3, 4], "od.csv": [3], "labels.csv": [1]}
+
+
+@given(params=worlds)
+@settings(max_examples=20, deadline=None)
+def test_write_then_load_is_bitwise_exact(tmp_path_factory, params):
+    ds = generate_synthetic(params)
+    directory = tmp_path_factory.mktemp("world")
+    write_dataset(ds, directory)
+    loaded = load_dataset(directory)
+    assert_bitwise_equal(ds.road_graphs, loaded.road_graphs, "road_graphs")
+    assert_bitwise_equal(ds.hierarchy.node_to_community, loaded.hierarchy.node_to_community)
+    assert ds.hierarchy.community_to_region == loaded.hierarchy.community_to_region
+    for name in ("community_od", "region_od", "region_adjacency", "labels"):
+        assert_bitwise_equal(getattr(ds, name), getattr(loaded, name), name)
+
+
+@given(params=worlds, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_one_bad_number_is_cited_by_file_and_line(tmp_path_factory, params, data):
+    directory = tmp_path_factory.mktemp("world")
+    write_dataset(generate_synthetic(params), directory)
+    name = data.draw(st.sampled_from(sorted(NUMERIC)), label="file")
+    path = directory / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assume(len(lines) > 1)
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    column = data.draw(st.sampled_from(NUMERIC[name]), label="column")
+    bad = data.draw(st.sampled_from(["x", "nan", "inf"]), label="value")
+    fields = lines[row].split(",")
+    fields[column] = bad
+    lines[row] = ",".join(fields)
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    kind = "not a number" if bad == "x" else "not a finite number"
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(directory)
+    assert f"{name}:{row + 1}: {kind}: {bad!r}" in str(exc.value).splitlines()
 
 
 def test_split_sizes_and_rounding(small_dataset):

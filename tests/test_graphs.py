@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from roadcarbon.graphs import (
+    EDGE_FEATURE_DIM,
+    ROAD_CLASSES,
     GraphValidationError,
     Hierarchy,
     ODFlow,
@@ -12,6 +14,7 @@ from roadcarbon.graphs import (
     od_arcs,
     pool_internal_edges,
     pool_nodes,
+    road_class_index,
 )
 from roadcarbon.tensor import Tensor, gather_rows
 
@@ -62,6 +65,55 @@ def test_one_hot_road_class_and_unknown_maps_to_other():
     assert g.arc_feats[0, 3] == 1.0  # motorway slot
     assert g.arc_feats[2, 7] == 1.0  # "other" slot
     assert g.degrees.tolist() == [2, 2]
+
+
+def loop_road_arrays(nodes, segments):
+    """Arc and node arrays one element at a time: the reference for the
+    array operations in ``build_road_graph``."""
+    node_ids = sorted(nid for nid, _, _ in nodes)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    m = len(segments)
+    arc_src = np.empty(2 * m, dtype=np.int64)
+    arc_dst = np.empty(2 * m, dtype=np.int64)
+    arc_feats = np.zeros((2 * m, EDGE_FEATURE_DIM))
+    arc_class = np.empty(2 * m, dtype=np.int64)
+    for k, (u, v, lon, lat, length, cls) in enumerate(segments):
+        for slot, (s, d) in enumerate(((index[u], index[v]), (index[v], index[u]))):
+            a = 2 * k + slot
+            arc_src[a], arc_dst[a] = s, d
+            arc_feats[a, :3] = (lon, lat, length)
+            arc_feats[a, 3 + road_class_index(cls)] = 1.0
+            arc_class[a] = road_class_index(cls)
+    node_feats = np.zeros((len(node_ids), 3))
+    for node_id, lon, lat in nodes:
+        node_feats[index[node_id], :2] = (lon, lat)
+    for d in arc_dst:
+        node_feats[d, 2] += 1.0
+    return arc_src, arc_dst, arc_feats, arc_class, node_feats
+
+
+@pytest.mark.parametrize("n_segments", [0, 1, 40])
+def test_build_road_graph_matches_loop_reference(n_segments):
+    rng = np.random.default_rng(n_segments)
+    nodes = [(f"n{i}", *rng.random(2)) for i in rng.permutation(12)]
+    segments = []
+    for _ in range(n_segments):
+        u, v = rng.choice(12, size=2, replace=False)
+        cls = ROAD_CLASSES[rng.integers(len(ROAD_CLASSES))] if rng.random() < 0.9 else "track"
+        segments.append((f"n{u}", f"n{v}", rng.random(), rng.random(), 0.1 + rng.random(), cls))
+    g = build_road_graph("r", nodes, segments)
+    arc_src, arc_dst, arc_feats, arc_class, node_feats = loop_road_arrays(nodes, segments)
+    for got, want in [
+        (g.arc_src, arc_src),
+        (g.arc_dst, arc_dst),
+        (g.arc_feats, arc_feats),
+        (g.arc_class, arc_class),
+        (g.arc_length_km, arc_feats[:, 2]),
+        (g.node_feats, node_feats),
+        (g.node_xy, node_feats[:, :2]),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pool_nodes_mean_and_sum_identity():

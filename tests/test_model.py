@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,25 @@ def test_checkpoint_round_trip(tmp_path, setting):
             assert np.array_equal(pa, pb)
 
 
+def test_checkpoint_round_trip_is_bitwise(tmp_path, setting):
+    _, stats, _, _ = setting
+    model = EmissionModel(SMALL, stats)
+    rng = np.random.default_rng(11)
+    for p in model.parameters():
+        p.tensor.values = rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-300, 300)
+    edge = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, np.pi])
+    big = max(model.parameters(), key=lambda p: p.values.size)
+    big.values.ravel()[: edge.size] = edge
+    path = tmp_path / "ck.json"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.values.dtype == b.values.dtype == np.float64
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes(), a.name
+    assert loaded.parameters()[0].values.flags.writeable
+
+
 def test_checkpoint_rejects_bad_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "other-v9", "config": {}, "stats": null, "params": {}}')
@@ -303,7 +324,7 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path, setting):
     save_checkpoint(model, path)
     payload = json.loads(path.read_text())
     payload["params"]["head.W2"]["shape"] = [3, 3]
-    payload["params"]["head.W2"]["values"] = [0.0] * 9
+    payload["params"]["head.W2"]["values"] = base64.b64encode(bytes(8 * 9)).decode("ascii")
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="head.W2"):
         load_checkpoint(path)
@@ -316,7 +337,8 @@ def test_checkpoint_rejects_values_not_filling_shape(tmp_path, setting):
     path = tmp_path / "ck.json"
     save_checkpoint(model, path)
     payload = json.loads(path.read_text())
-    payload["params"]["head.W2"]["values"].pop()
+    raw = base64.b64decode(payload["params"]["head.W2"]["values"])
+    payload["params"]["head.W2"]["values"] = base64.b64encode(raw[:-8]).decode("ascii")
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="head.W2.*do not fill"):
         load_checkpoint(path)
