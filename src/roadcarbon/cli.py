@@ -148,6 +148,7 @@ def cmd_train(args) -> int:
     config = RunConfig.from_file(args.config).with_overrides(**overrides).validate()
     if not config.data_dir:
         raise ConfigError("data_dir must be set (config file or --data)")
+    _check_out_dir(config.out_dir)
 
     dataset = load_dataset(config.data_dir)
     splits = split_dataset(dataset, config.fractions, config.seed)
@@ -185,6 +186,15 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"--out {out}: directory {path.parent} does not exist")
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Reject an output directory that cannot be made because it, or the
+    nearest of its parents that exists, is not a directory."""
+    path = Path(out_dir)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"out_dir {out_dir}: {existing} is not a directory")
 
 
 def _load_for_inference(checkpoint_path: str, data_dir: str):

@@ -152,6 +152,10 @@ def load_dataset(directory) -> Dataset:
             continue
         lon = _parse_float(lon_s, "nodes.csv", lineno, problems)
         lat = _parse_float(lat_s, "nodes.csv", lineno, problems)
+        if lon < 0.0 or lon > 1.0 or lat < 0.0 or lat > 1.0:
+            problems.append(
+                f"nodes.csv:{lineno}: node {node_id}: relative coordinates outside [0,1]"
+            )
         if community in community_region and community_region[community] != region:
             problems.append(
                 f"nodes.csv:{lineno}: community {community} already assigned to region "
@@ -179,6 +183,12 @@ def load_dataset(directory) -> Dataset:
                 f"edges.csv:{lineno}: segment {u}-{v} crosses regions "
                 f"{node_region[u]} and {node_region[v]}"
             )
+            continue
+        if u == v:
+            problems.append(f"edges.csv:{lineno}: self-loop segment at node {u}")
+            continue
+        if length <= 0:
+            problems.append(f"edges.csv:{lineno}: segment {u}-{v}: non-positive length {length}")
             continue
         segments_by_region[node_region[u]].append((u, v, lon, lat, length, cls))
 

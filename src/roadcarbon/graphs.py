@@ -103,9 +103,9 @@ def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
     arc_length = arc_feats[:, 2].copy()
 
     node_xy = np.zeros((n, 2))
-    node_xy[[index[node_id] for node_id, _, _ in nodes]] = [
-        (lon, lat) for _, lon, lat in nodes
-    ]
+    node_xy[[index[node_id] for node_id, _, _ in nodes]] = np.array(
+        [(lon, lat) for _, lon, lat in nodes], dtype=np.float64
+    ).reshape(n, 2)
     node_feats = np.zeros((n, NODE_FEATURE_DIM))
     node_feats[:, :2] = node_xy
     node_feats[:, 2] = np.bincount(arc_dst, minlength=n)

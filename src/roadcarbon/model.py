@@ -13,7 +13,8 @@ regions as disjoint unions (one block-diagonal graph, every index shifted
 past the regions before it): one intra pass per union of at most
 ``UNION_ROW_BUDGET`` road rows (nodes + arcs), one region-level pass over
 the union of the targets' egos, then one fusion and head.  Training runs
-each minibatch this way; ``predict_region`` is the one-region call.
+each minibatch this way; ``predict_region`` is the one-region call, and
+a prepared region is its own one-region union.
 """
 
 from __future__ import annotations
@@ -186,31 +187,41 @@ def fit_normalization(dataset: Dataset, train_ids: list[str]) -> NormStats:
 
 
 @dataclass
-class PreparedRegion:
-    """One region's constant tensors plus static community-graph structure.
+class RegionUnion:
+    """Disjoint union of prepared regions, run as one graph.
 
-    The crossing-pair arc index arrays let the live pooling of connector
-    segments run as two segment reductions instead of a per-pair loop.
+    Each region's node, arc, community and crossing-pair indices are
+    shifted past those of the regions before it, so no arc, pair or OD link
+    joins two regions.  ``node_region`` and ``community_region`` give each
+    row's region, by its position in the union.
     """
 
-    region_id: str
     node_feats: Tensor
     arc_feats: Tensor
     arc_src: np.ndarray
     arc_dst: np.ndarray
     groups: np.ndarray
-    community_ids: list[str]
-    label_norm: float
-    label_raw: float
+    n_communities: int
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
     cross_arc_idx: np.ndarray
     cross_arc_pair: np.ndarray
     n_cross_pairs: int
-    pair_gather: np.ndarray
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
+    node_region: np.ndarray
+    community_region: np.ndarray
+
+
+@dataclass
+class PreparedRegion(RegionUnion):
+    """One region's constant tensors and static community-graph structure,
+    as its own one-region union (every row in region 0), plus its label."""
+
+    region_id: str
+    label_norm: float
+    label_raw: float
 
 
 @dataclass
@@ -234,35 +245,6 @@ class RegionEgo:
 
 
 @dataclass
-class RegionUnion:
-    """Disjoint union of prepared regions, run as one graph.
-
-    Each region's node, arc, community and crossing-pair indices are
-    shifted past those of the regions before it, so no arc, pair or OD link
-    joins two regions.  ``node_region`` and ``community_region`` give each
-    row's region, by its position in the union.
-    """
-
-    node_feats: Tensor
-    arc_feats: Tensor
-    arc_src: np.ndarray
-    arc_dst: np.ndarray
-    groups: np.ndarray
-    n_communities: int
-    spatial_src: np.ndarray
-    spatial_dst: np.ndarray
-    cross_arc_idx: np.ndarray
-    cross_arc_pair: np.ndarray
-    n_cross_pairs: int
-    pair_gather: np.ndarray
-    od_src: np.ndarray
-    od_dst: np.ndarray
-    od_zflow: Tensor
-    node_region: np.ndarray
-    community_region: np.ndarray
-
-
-@dataclass
 class EgoUnion:
     """Disjoint union of target egos; ``target_rows[j]`` is target j's row
     and ``nodes`` the global region index of every row."""
@@ -278,28 +260,23 @@ class EgoUnion:
 
 
 def _shifted(parts: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Concatenate index arrays, each shifted by the sizes of the parts
-    before it; one part is returned as it is, unshifted and uncopied."""
-    if len(parts) == 1:
-        return parts[0]
+    """Concatenate index arrays, each shifted by the sizes of the parts before it."""
     offsets = np.cumsum([0] + sizes[:-1])
     return np.concatenate([p + o for p, o in zip(parts, offsets)])
 
 
 def _stacked(parts: list[Tensor]) -> Tensor:
-    """Row-wise concatenation of constant tensors; one part is returned as it is."""
-    return parts[0] if len(parts) == 1 else Tensor(np.concatenate([t.values for t in parts]))
+    """Row-wise concatenation of constant tensors."""
+    return Tensor(np.concatenate([t.values for t in parts]))
 
 
 def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
-    """The disjoint union of ``regions``; a region without intersections
-    is an error."""
-    for prep in regions:
-        if prep.node_feats.shape[0] == 0:
-            raise ValueError(f"region {prep.region_id} has no intersections")
+    """The disjoint union of ``regions``; one region is its own union."""
+    if len(regions) == 1:
+        return regions[0]
     n_nodes = [r.node_feats.shape[0] for r in regions]
     n_arcs = [r.arc_src.size for r in regions]
-    n_comms = [len(r.community_ids) for r in regions]
+    n_comms = [r.n_communities for r in regions]
     n_pairs = [r.n_cross_pairs for r in regions]
     positions = np.arange(len(regions))
     return RegionUnion(
@@ -314,7 +291,6 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
         cross_arc_idx=_shifted([r.cross_arc_idx for r in regions], n_arcs),
         cross_arc_pair=_shifted([r.cross_arc_pair for r in regions], n_pairs),
         n_cross_pairs=sum(n_pairs),
-        pair_gather=_shifted([r.pair_gather for r in regions], n_pairs),
         od_src=_shifted([r.od_src for r in regions], n_comms),
         od_dst=_shifted([r.od_dst for r in regions], n_comms),
         od_zflow=_stacked([r.od_zflow for r in regions]),
@@ -395,6 +371,8 @@ def prepare_dataset(
     regions = {}
     for region_id in dataset.region_ids:
         graph = dataset.road_graphs[region_id]
+        if graph.n_nodes == 0:
+            raise ValueError(f"region {region_id} has no intersections")
         communities = dataset.hierarchy.communities_of(region_id)
         community_index = {c: k for k, c in enumerate(communities)}
         groups = np.array(
@@ -409,26 +387,27 @@ def prepare_dataset(
         )
         od_src, od_dst, flows = od_arcs(by_region_od[region_id], community_index, min_flow)
         regions[region_id] = PreparedRegion(
-            region_id=region_id,
             node_feats=Tensor((graph.node_feats - stats.node_mean) / stats.node_std),
             arc_feats=Tensor((graph.arc_feats - stats.edge_mean) / stats.edge_std),
             arc_src=graph.arc_src,
             arc_dst=graph.arc_dst,
             groups=groups,
-            community_ids=communities,
-            label_norm=stats.normalize_label(dataset.labels[region_id]),
-            label_raw=dataset.labels[region_id],
+            n_communities=len(communities),
             spatial_src=spatial_src,
             spatial_dst=spatial_dst,
             cross_arc_idx=cross_arc_idx,
             cross_arc_pair=cross_arc_pair,
             n_cross_pairs=n_pairs,
-            pair_gather=np.repeat(np.arange(n_pairs, dtype=np.int64), 2),
             od_src=od_src,
             od_dst=od_dst,
             od_zflow=Tensor(
                 _zscore_log_flow(flows, stats.community_flow_mean, stats.community_flow_std)
             ),
+            node_region=np.zeros(graph.n_nodes, dtype=np.int64),
+            community_region=np.zeros(len(communities), dtype=np.int64),
+            region_id=region_id,
+            label_norm=stats.normalize_label(dataset.labels[region_id]),
+            label_raw=dataset.labels[region_id],
         )
 
     region_index = {r: i for i, r in enumerate(dataset.region_ids)}
@@ -693,10 +672,10 @@ class EmissionModel:
         spatial_feats = None
         if self.use_spatial:
             # pooled connector-segment features, one row per crossing pair,
-            # duplicated onto the symmetric arc pair
+            # duplicated onto its two spatial arcs, 2k and 2k + 1 for pair k
             crossing = gather_rows(e_road, union.cross_arc_idx)
             pair_feats = pool_nodes(phi, crossing, union.cross_arc_pair, union.n_cross_pairs)
-            spatial_feats = gather_rows(pair_feats, union.pair_gather)
+            spatial_feats = gather_rows(pair_feats, np.repeat(np.arange(union.n_cross_pairs), 2))
         level = (self.community_od_embed, self.community_layers, self.community_fusion)
         v_out = self._hetero_forward(
             v_comm, union, spatial_feats, level, None if record is None else record.community
@@ -891,6 +870,8 @@ def load_checkpoint(path) -> EmissionModel:
             raise CheckpointError(f"parameter {name}: entry needs shape and values")
         if not isinstance(entry["shape"], list):
             raise CheckpointError(f"parameter {name}: shape is not a list")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in entry["shape"]):
+            raise CheckpointError(f"parameter {name}: shape {entry['shape']} holds a non-integer")
         shape = tuple(entry["shape"])
         if shape != own[name].values.shape:
             raise CheckpointError(

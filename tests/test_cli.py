@@ -264,6 +264,23 @@ def test_bad_out_exits_1_before_loading(workspace, tmp_path, monkeypatch, capsys
     assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
 
 
+@pytest.mark.parametrize("case", ["file", "parent-file"])
+def test_train_bad_out_dir_exits_1_before_loading(workspace, tmp_path, monkeypatch, capsys, case):
+    _, _, cfg = workspace
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker if case == "file" else blocker / "run"
+
+    def not_reached(directory):
+        raise AssertionError("the dataset was loaded before out_dir was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", not_reached)
+    assert run_cli("train", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"out_dir {out}: {blocker} is not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, which are not JSON."""
 
@@ -377,12 +394,14 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
         (lambda payload: payload["params"]["head.b2"].update(values=[0.0]), "head.b2"),
         (lambda payload: payload.update(params=["head.b2"]), "params is not an object"),
         (lambda payload: payload.update(format="hence-v2"), "hence-v3"),
+        (lambda payload: payload["params"]["head.b2"].update(shape=[1.0, 1.0]), "head.b2"),
+        (lambda payload: payload["params"]["head.b2"].update(shape=[True, 1]), "head.b2"),
     ],
     ids=[
         "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
         "config-not-object", "string-value", "nan-value", "shape-not-list", "inf-stat",
         "nan-stat-vector", "config-wrong-type", "list-values",
-        "params-not-object", "v2-format",
+        "params-not-object", "v2-format", "float-shape", "bool-shape",
     ],
 )
 def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):

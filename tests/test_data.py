@@ -97,6 +97,31 @@ def test_malformed_number_cites_line(tmp_path, name, content, message):
     assert len(str(exc.value).splitlines()) == 2  # the header line plus this one problem
 
 
+NODES = "region_id,community_id,node_id,rel_lon,rel_lat\nr0,c0,n0,0.0,0.0\n"
+EDGES = "node_u,node_v,rel_lon,rel_lat,length_km,road_class\nn0,n1,0.5,0.5,2.0,primary\n"
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("nodes.csv", NODES + "r0,c1,n1,1.5,1.0\n", "nodes.csv:3: node n1: relative coordinates outside [0,1]"),
+        ("nodes.csv", NODES + "r0,c1,n1,1.0,-0.1\n", "nodes.csv:3: node n1: relative coordinates outside [0,1]"),
+        ("edges.csv", EDGES + "n1,n1,0.5,0.5,1.0,primary\n", "edges.csv:3: self-loop segment at node n1"),
+        ("edges.csv", EDGES + "n1,n0,0.5,0.5,0.0,primary\n", "edges.csv:3: segment n1-n0: non-positive length 0.0"),
+        ("edges.csv", EDGES + "n1,n0,0.5,0.5,-2,primary\n", "edges.csv:3: segment n1-n0: non-positive length -2.0"),
+    ],
+    ids=["lon-above-1", "lat-below-0", "self-loop", "zero-length", "negative-length"],
+)
+def test_invalid_road_graph_row_cites_line(tmp_path, name, content, message):
+    # reported beside the other problems of the dataset, not after them
+    od = "level,origin_id,dest_id,flow\ncommunity,c0,nope,1.0\n"
+    path = write_minimal(tmp_path, **{name: content, "od.csv": od})
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(path)
+    lines = str(exc.value).splitlines()[1:]
+    assert sorted(lines) == sorted([message, "od.csv:2: unknown community nope"])
+
+
 def test_non_utf8_byte_cites_line(tmp_path):
     path = write_minimal(tmp_path)
     (path / "labels.csv").write_bytes(b"region_id,emission_tco2\r\nr\xe9,0.4\r\n")

@@ -642,6 +642,45 @@ def test_union_budget_splits_intra_passes(monkeypatch):
         assert calls == runs, budget
 
 
+def test_one_region_is_its_own_union(setting):
+    _, _, _, prep = setting
+    region = prep.regions[prep.region_ids[0]]
+    assert model_module._union_regions([region]) is region
+    assert not region.node_region.any() and not region.community_region.any()
+
+
+def test_union_spatial_arcs_pair_up_with_crossing_pairs(setting):
+    # the community level gives spatial arcs 2k and 2k + 1 the pooled
+    # features of crossing pair k, so in a union each pair's road arcs must
+    # join just the two communities of those arcs, both in one region
+    _, _, _, prep = setting
+    u = model_module._union_regions([prep.regions[r] for r in prep.region_ids])
+    assert u.n_cross_pairs > len(prep.region_ids)
+    assert u.spatial_src.size == 2 * u.n_cross_pairs
+    forward, reverse = slice(0, None, 2), slice(1, None, 2)
+    assert np.array_equal(u.spatial_src[forward], u.spatial_dst[reverse])
+    assert np.array_equal(u.spatial_dst[forward], u.spatial_src[reverse])
+    assert np.array_equal(
+        u.community_region[u.spatial_src], u.community_region[u.spatial_dst]
+    )
+    ends = np.sort(
+        np.stack([u.groups[u.arc_src[u.cross_arc_idx]], u.groups[u.arc_dst[u.cross_arc_idx]]]),
+        axis=0,
+    )
+    pair_ends = np.sort(np.stack([u.spatial_src[forward], u.spatial_dst[forward]]), axis=0)
+    assert np.array_equal(ends, pair_ends[:, u.cross_arc_pair])
+    assert np.array_equal(np.unique(u.cross_arc_pair), np.arange(u.n_cross_pairs))
+
+
+def test_prepare_rejects_region_without_intersections():
+    ds = generate_synthetic(SynthParams(n_regions=3, seed=4, grid_side=3))
+    stats = fit_normalization(ds, ds.region_ids)
+    empty = ds.region_ids[1]
+    ds.road_graphs[empty] = build_road_graph(empty, [], [])
+    with pytest.raises(ValueError, match=f"region {empty} has no intersections"):
+        prepare_dataset(ds, stats)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_batched_loss_directional_derivative(budget, monkeypatch):
     """<grad, u> of a three-region batched loss against a central difference
