@@ -7,6 +7,12 @@ source features.  Every node's self-loop is a padded arc: the n loops
 follow the m real arcs, so one score pass covers both and isolated nodes
 keep their own transformed signal.
 
+The weighted sum is one fused kernel, ``tensor.attend``, as in PyG's
+message passing: it gathers each arc's transformed source row, weighs it by
+the arc's attention and scatters it into the destination as one graph node.
+No arc-count message matrix is kept between forward and backward; backward
+gathers the source rows again.
+
 Arc features are updated from the same triple for the next layer to
 consume.  The score map and the arc update are both linear in the triple
 before any nonlinearity, so ``tensor.arc_linear`` applies their destination
@@ -35,7 +41,7 @@ from .tensor import (
     Tensor,
     add,
     arc_linear,
-    gather_rows,
+    attend,
     leaky_relu,
     matmul,
     mul,
@@ -149,8 +155,7 @@ def egat_layer(
     ua = matmul(params.U.tensor, params.a.tensor)
     scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua), LEAKY_SLOPE)
     alpha = segment_softmax(scores, full_dst, n)
-    messages = gather_rows(matmul(V, params.W.tensor), full_src)
-    V_out = segment_sum(mul(messages, alpha), full_dst, n)
+    V_out = attend(matmul(V, params.W.tensor), alpha, full_src, full_dst, n)
     E_out = None if params.A is None else arc_linear(V, E, src, dst, params.A.tensor)
 
     record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)

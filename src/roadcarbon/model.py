@@ -802,13 +802,22 @@ def _encode_values(p: Parameter) -> str:
 
 
 def _decode_values(text, shape: tuple, name: str) -> np.ndarray:
-    """Inverse of ``_encode_values`` for a parameter of ``shape``."""
+    """Inverse of ``_encode_values`` for a parameter of ``shape``.
+
+    The decode skips characters outside the alphabet, so the text must also
+    equal the re-encoding of its bytes.  That check is strict and runs in C;
+    ``validate=True`` on Python 3.10 matches a regular expression instead.
+    """
     if not isinstance(text, str):
         raise CheckpointError(f"parameter {name}: values is not a base64 string")
     try:
-        raw = base64.b64decode(text, validate=True)
+        raw = base64.b64decode(text)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise CheckpointError(f"parameter {name}: values is not valid base64 ({exc})")
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise CheckpointError(
+            f"parameter {name}: values is not valid base64 (not the canonical encoding)"
+        )
     size = int(np.prod(shape))
     if len(raw) != 8 * size:
         raise CheckpointError(

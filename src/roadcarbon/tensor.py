@@ -2,8 +2,16 @@
 
 Implements exactly the primitive set the emission model's forward pass
 needs.  All tensors are 2-D; broadcasting is limited to the column-vector
-and scalar cases the model actually uses.  Gradients accumulate across
-backward calls; the caller zeroes them between optimizer steps.
+and scalar cases the model actually uses.
+
+A recorded graph is single-use.  ``backward`` frees it as it goes: once a
+node has passed its gradient on to its parents, its gradient, backward
+closure and parent links are dropped, so the inner values go as the pass
+moves on and a training step holds its graph once, not twice.  Gradients
+therefore accumulate on leaves only (parameters and other tensors made with
+``requires_grad=True``), across as many graphs as the caller runs; the
+caller zeroes them between optimizer steps.  A second ``backward`` through
+a released graph raises ``ValueError``.
 
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
@@ -12,7 +20,9 @@ slots reduces the input rows in input order.
 ``arc_linear`` is the one graph kernel: the rows ``[V[dst] | E | V[src]] @ M``
 of a linear map applied to every arc's (destination, arc, source) triple,
 computed from node-side products ``V M_d`` and ``V M_s`` gathered per arc, so
-the arc-count triple matrix is never formed.
+the arc-count triple matrix is never formed.  ``attend`` is its aggregation
+counterpart: the weighted gather-scatter ``sum_a w[a] H[src[a]]`` into each
+destination, with no arc-count message matrix kept for backward.
 """
 
 from __future__ import annotations
@@ -51,10 +61,13 @@ class Tensor:
     """A 2-D float64 value buffer plus a node in the implicit compute graph.
 
     Scalars are 1x1, vectors are columns.  ``grad`` is lazily allocated on
-    first accumulation and always matches ``values`` in shape.
+    first accumulation and always matches ``values`` in shape; on a recorded
+    (non-leaf) node, ``backward`` drops it once it has been passed on.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
+    __slots__ = (
+        "values", "grad", "requires_grad", "_parents", "_backward_fn", "_op", "__weakref__"
+    )
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = _as_matrix(values)
@@ -326,6 +339,40 @@ def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
     return _result(out_values, (V, E, M), backward_fn, "arc_linear")
 
 
+def attend(H: Tensor, w: Tensor, src, dst, n: int) -> Tensor:
+    """Row i is ``sum over arcs a with dst[a] == i of w[a] * H[src[a]]``.
+
+    One arc-weighted gather-scatter: ``w`` is an (arcs x 1) column,
+    ``src`` indexes H's rows and ``dst`` the n output rows; destinations
+    without arcs give zero rows.  Backward gathers the upstream rows per arc
+    and gathers ``H[src]`` again instead of keeping it from forward, so
+    the node holds no arc-count matrix between the passes.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    rows = H.shape[0]
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ValueError(f"attend: src {src.shape} and dst {dst.shape} must be equal 1-D")
+    if w.shape != (src.size, 1):
+        raise ValueError(f"attend: weights {w.shape} must be a column of one row per arc ({src.size})")
+    if n < 0:
+        raise ValueError(f"attend: negative output row count {n}")
+    if src.size and (src.min() < 0 or src.max() >= rows):
+        raise ValueError(f"attend: arc source out of range for {rows} rows")
+    if dst.size and (dst.min() < 0 or dst.max() >= n):
+        raise ValueError(f"attend: arc destination out of range for {n} rows")
+    out_values = _segment_sum_np(H.values[src] * w.values, dst, n)
+
+    def backward_fn(g):
+        gd = g[dst]
+        if w.requires_grad:
+            w.accumulate_grad((gd * H.values[src]).sum(axis=1, keepdims=True))
+        if H.requires_grad:
+            H.accumulate_grad(_segment_sum_np(gd * w.values, src, rows))
+
+    return _result(out_values, (H, w), backward_fn, "attend")
+
+
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     # derivative at exactly 0 is defined as 1
     positive = x.values >= 0
@@ -481,15 +528,30 @@ def toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every reachable requires_grad tensor.
+    """Populate grads of every reachable leaf and release the graph.
 
-    Grads accumulate on top of whatever is already stored; callers zero
-    them between optimizer steps.
+    Leaf grads accumulate on top of whatever is already stored; callers
+    zero them between optimizer steps.  Each recorded node drops its grad,
+    backward closure and parent links as soon as it has passed its gradient
+    on, so the graph is spent when this returns; running ``backward``
+    through any part of it again raises ``ValueError``.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = toposort(loss)
+    for node in order:
+        if node._op is not None and node._backward_fn is None:
+            raise ValueError(
+                f"backward through a released graph (a {node._op} node was spent by an "
+                f"earlier backward); rebuild the graph with a fresh forward pass"
+            )
     loss.accumulate_grad(np.ones((1, 1)))
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward_fn is None:
+            continue  # a leaf keeps its accumulated grad
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad = None
+        node._backward_fn = None
+        node._parents = ()

@@ -111,8 +111,9 @@ def _train_step(
 
     A non-finite loss, parameter value or gradient raises NonFiniteError
     naming ``where`` (epoch and batch) before the step changes any
-    parameter.  The step's compute graph is released on return, before the
-    next batch's forward pass is built.
+    parameter.  ``backward`` releases the step's compute graph as it walks
+    it, so the step never holds the whole graph and all its inner
+    gradients at once.
     """
     preds = model.predict_batch(prepared, batch, cache)
     targets = Tensor(np.array([prepared.regions[r].label_norm for r in batch]).reshape(-1, 1))

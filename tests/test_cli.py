@@ -361,6 +361,11 @@ def _set_first_value(payload, name, value):
     _set_values(payload, name, np.r_[value, _values(payload, name)[1:]])
 
 
+def _edit_text(payload, name, edit):
+    entry = payload["params"][name]
+    entry["values"] = edit(entry["values"])
+
+
 def test_checkpoint_values_not_filling_shape_exit_1(workspace, tmp_path, capsys):
     code = _edited_checkpoint(
         workspace, tmp_path, lambda payload: _set_values(payload, "head.b2", [])
@@ -396,12 +401,19 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
         (lambda payload: payload.update(format="hence-v2"), "hence-v3"),
         (lambda payload: payload["params"]["head.b2"].update(shape=[1.0, 1.0]), "head.b2"),
         (lambda payload: payload["params"]["head.b2"].update(shape=[True, 1]), "head.b2"),
+        (lambda payload: _edit_text(payload, "head.W2", lambda t: t[:5] + "!" + t[5:]),
+         "head.W2: values is not valid base64"),
+        (lambda payload: _edit_text(payload, "head.W2", lambda t: t[:76] + "\n" + t[76:]),
+         "head.W2: values is not valid base64"),
+        (lambda payload: _edit_text(payload, "head.b2", lambda t: t.rstrip("=")),
+         "head.b2: values is not valid base64"),
     ],
     ids=[
         "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
         "config-not-object", "string-value", "nan-value", "shape-not-list", "inf-stat",
         "nan-stat-vector", "config-wrong-type", "list-values",
         "params-not-object", "v2-format", "float-shape", "bool-shape",
+        "base64-non-alphabet", "base64-newline", "base64-bad-padding",
     ],
 )
 def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):

@@ -1,4 +1,7 @@
 import base64
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from roadcarbon.model import (
     set_ablation,
 )
 from roadcarbon.synth import SynthParams, generate_synthetic
-from roadcarbon.tensor import Tensor, backward, mse_loss, no_grad, vstack
+from roadcarbon.tensor import Tensor, backward, mse_loss, no_grad, toposort, vstack
 
 
 SMALL = RunConfig(hidden=8, layers=2, layers_road=2, seed=3, epochs=2)
@@ -714,3 +717,34 @@ def test_batched_loss_directional_derivative(budget, monkeypatch):
     numeric = (losses[0] - losses[1]) / (2 * h)
     rounding = 100 * np.finfo(float).eps * max(abs(x) for x in losses) / h
     assert abs(analytic - numeric) <= 1e-6 * abs(analytic) + rounding, (analytic, numeric)
+
+
+def test_training_step_holds_its_graph_once():
+    """Backward frees each inner node once it has passed its gradient on:
+    on three 400-intersection regions, the traced peak during ``backward``
+    stays near the forward graph's own bytes instead of doubling them."""
+    ds = generate_synthetic(SynthParams(n_regions=3, grid_side=20, communities=25, seed=5))
+    config = RunConfig().validate()
+    ids = ds.region_ids
+    stats = fit_normalization(ds, ids)
+    prep = prepare_dataset(ds, stats, config.min_flow, hops=config.layers)
+    model = EmissionModel(config, stats)
+    cache = refresh_region_cache(model, prep, 0)
+    targets = Tensor(np.array([prep.regions[r].label_norm for r in ids]).reshape(-1, 1))
+    gc.collect()
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = mse_loss(model.predict_batch(prep, ids, cache), targets)
+        graph_bytes = tracemalloc.get_traced_memory()[0] - start
+        inner = weakref.ref(next(n for n in toposort(loss) if n._op == "attend"))
+        tracemalloc.reset_peak()
+        backward(loss)
+        backward_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert graph_bytes > 2**20
+    assert backward_peak <= 1.25 * graph_bytes, (backward_peak, graph_bytes)
+    assert inner() is None
+    assert all(p.grad is not None for p in model.parameters())

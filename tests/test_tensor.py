@@ -369,6 +369,87 @@ def test_arc_linear_shape_errors_name_the_shapes():
         T.arc_linear(V, E, [0, 3], [1, 2], Tensor(np.zeros((5, 1))))
 
 
+def attend_oracle(H, w, src, dst, n, upstream):
+    """Arc-by-arc gather, weigh and scatter, and the gradients of
+    sum(out * upstream) taken the same way."""
+    out = np.zeros((n, H.shape[1]))
+    dH = np.zeros_like(H)
+    dw = np.zeros_like(w)
+    for a, (s, d) in enumerate(zip(src, dst)):
+        out[d] += w[a, 0] * H[s]
+        dH[s] += w[a, 0] * upstream[d]
+        dw[a, 0] = upstream[d] @ H[s]
+    return out, dH, dw
+
+
+def test_attend_forward_matches_gather_multiply_scatter():
+    rng = np.random.default_rng(13)
+    H, w = rng.normal(size=(5, 3)), rng.normal(size=(8, 1))
+    src, dst = rng.integers(0, 5, size=8), rng.integers(0, 4, size=8)
+    out = T.attend(Tensor(H), Tensor(w), src, dst, 4)
+    want = np.zeros((4, 3))
+    np.add.at(want, dst, H[src] * w)
+    assert out.shape == (4, 3)
+    assert np.max(np.abs(out.values - want)) <= 1e-12
+
+
+def test_attend_gradient_matches_finite_differences():
+    rng = np.random.default_rng(14)
+    h, w = param(rng.normal(size=(4, 3)), "H"), param(rng.normal(size=(7, 1)), "w")
+    src, dst = rng.integers(0, 4, size=7), rng.integers(0, 6, size=7)
+    upstream = Tensor(rng.normal(size=(6, 3)))
+
+    def f():
+        return T.mul(T.attend(h.tensor, w.tensor, src, dst, 6), upstream).sum()
+
+    assert finite_difference_check(f, [h, w]) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(1, 6),
+    m=st.integers(0, 12),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attend_property_matches_arc_loop(rows, n, m, d, seed):
+    # m=0 has no arcs; random endpoints repeat arcs and leave destinations
+    # without arcs; the output row count n is drawn apart from H's rows
+    rng = np.random.default_rng(seed)
+    H, w = rng.normal(size=(rows, d)), rng.normal(size=(m, 1))
+    src, dst = rng.integers(0, rows, size=m), rng.integers(0, n, size=m)
+    upstream = rng.normal(size=(n, d))
+    h, wt = Tensor(H, requires_grad=True), Tensor(w, requires_grad=True)
+    out = T.attend(h, wt, src, dst, n)
+    backward(T.mul(out, Tensor(upstream)).sum())
+    want, dH, dw = attend_oracle(H, w, src, dst, n, upstream)
+    scale = 1 + np.abs(want).max(initial=0.0)
+    assert out.shape == (n, d)
+    assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-12 * scale
+    for got, ref in ((h.grad, dH), (wt.grad, dw)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * (1 + np.abs(ref).max(initial=0.0))
+
+
+def test_attend_shape_and_range_errors():
+    H, w = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="must be equal 1-D"):
+        T.attend(H, w, [0, 1], [1], 3)
+    with pytest.raises(ValueError, match=r"weights \(2, 1\).*\(3\)"):
+        T.attend(H, w, [0, 1, 2], [0, 1, 2], 3)
+    with pytest.raises(ValueError, match="weights"):
+        T.attend(H, Tensor(np.zeros((2, 2))), [0, 1], [0, 1], 3)
+    with pytest.raises(ValueError, match="negative"):
+        T.attend(H, Tensor(np.zeros((0, 1))), [], [], -1)
+    with pytest.raises(ValueError, match="source out of range for 3 rows"):
+        T.attend(H, w, [0, 3], [0, 1], 2)
+    with pytest.raises(ValueError, match="source out of range"):
+        T.attend(H, w, [-1, 0], [0, 1], 2)
+    with pytest.raises(ValueError, match="destination out of range for 2 rows"):
+        T.attend(H, w, [0, 1], [0, 2], 2)
+
+
 def test_mse_loss_values():
     assert T.mse_loss(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).values[0, 0] == 0.0
     assert T.mse_loss(Tensor([1.0, 1.0]), Tensor([0.0, 2.0])).values[0, 0] == 1.0
@@ -398,6 +479,37 @@ def test_backward_accumulates_without_zeroing():
     backward(x * 2.0)
     backward(x * 2.0)
     assert x.grad[0, 0] == 4.0
+
+
+def test_backward_on_a_leaf_loss():
+    x = Tensor([[3.0]], requires_grad=True)
+    backward(x)
+    backward(x)
+    assert x.grad[0, 0] == 2.0
+
+
+def test_backward_through_a_released_graph_raises():
+    x = Tensor([[3.0]], requires_grad=True)
+    y = x * 2.0
+    loss = T.mul(y, y)
+    backward(loss)
+    assert x.grad[0, 0] == 24.0
+    with pytest.raises(ValueError, match="released graph"):
+        backward(loss)
+    # an inner node of the spent graph cannot start a new one either
+    with pytest.raises(ValueError, match="released graph"):
+        backward(T.add(y, x))
+    assert x.grad[0, 0] == 24.0
+
+
+def test_backward_frees_inner_grads_and_keeps_leaf_grads():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    inner = T.tanh(x)
+    loss = T.sum_all(T.mul(inner, inner))
+    backward(loss)
+    assert inner.grad is None and loss.grad is None
+    assert inner._parents == () and inner._backward_fn is None
+    np.testing.assert_allclose(x.grad, 2 * np.tanh(x.values) * (1 - np.tanh(x.values) ** 2))
 
 
 def test_backward_rejects_non_scalar():
