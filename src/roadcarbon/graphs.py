@@ -1,9 +1,12 @@
 """Domain graphs: road networks, the area hierarchy, and the arc structure
 of the community and region graphs.
 
-The pooling operations here move representations between hierarchy levels;
-they run on autodiff tensors so gradients flow through the coarsening.  The
-typed-arc functions return plain index arrays, computed once per dataset.
+Every move between hierarchy levels is one ``pool`` call, which reduces
+rows into groups: sum and mean pooling are the engine's gather-scatter
+kernel ``tensor.attend`` (weights 1, or 1/|group|), max pooling is a
+``segment_max`` of the gathered rows.  It runs on autodiff tensors, so
+gradients flow through the coarsening.  The typed-arc functions return
+plain index arrays, computed once per dataset.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows, hstack, mul, segment_max, segment_sum
+from .tensor import Tensor, attend, gather_rows, hstack, segment_max
 
 logger = logging.getLogger(__name__)
 
@@ -154,16 +157,18 @@ class ODFlow:
 # pooling between levels
 
 
-def _reduce(phi: str, rows: Tensor, seg: np.ndarray, n_groups: int) -> Tensor:
+def pool(phi: str, rows: Tensor, src, dst, n: int) -> Tensor:
+    """Row i pools ``rows[src[k]]`` over every k with ``dst[k] == i``;
+    groups without entries give zero rows."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     if phi == "sum":
-        return segment_sum(rows, seg, n_groups)
+        return attend(rows, Tensor(np.ones((src.size, 1))), src, dst, n)
     if phi == "mean":
-        sums = segment_sum(rows, seg, n_groups)
-        counts = np.bincount(seg, minlength=n_groups).astype(np.float64)
-        inv = np.divide(1.0, counts, out=np.zeros(n_groups), where=counts > 0)
-        return mul(sums, Tensor(inv.reshape(-1, 1)))
+        counts = np.bincount(dst, minlength=n).astype(np.float64)
+        return attend(rows, Tensor(1.0 / counts[dst, None]), src, dst, n)
     if phi == "max":
-        return segment_max(rows, seg, n_groups)
+        return segment_max(gather_rows(rows, src), dst, n)
     raise ValueError(f"unknown pooling function {phi!r} (expected mean, sum or max)")
 
 
@@ -174,34 +179,17 @@ def pool_nodes(phi: str, reps: Tensor, groups, n_groups: int) -> Tensor:
     if (counts == 0).any():
         empties = np.flatnonzero(counts == 0).tolist()
         logger.warning("pool_nodes: empty groups %s pooled to zero rows", empties)
-    return _reduce(phi, reps, seg, n_groups)
-
-
-def pool_internal_edges(
-    phi: str,
-    edge_reps: Tensor,
-    arc_src,
-    arc_dst,
-    groups,
-    n_groups: int,
-) -> Tensor:
-    """Reduce arcs whose both endpoints share a group; no internal arcs -> zero row."""
-    groups = np.asarray(groups, dtype=np.int64)
-    src = np.asarray(arc_src, dtype=np.int64)
-    dst = np.asarray(arc_dst, dtype=np.int64)
-    internal = np.flatnonzero(groups[src] == groups[dst])
-    rows = gather_rows(edge_reps, internal)
-    return _reduce(phi, rows, groups[src[internal]], n_groups)
+    return pool(phi, reps, np.arange(seg.size), seg, n_groups)
 
 
 def community_spatial_arcs(arc_src, arc_dst, groups):
     """Spatial arcs of a community graph, derived from its road arcs.
 
-    Returns ``(spatial_src, spatial_dst, cross_arc_idx, cross_arc_pair,
-    n_pairs)``.  Group pairs (a < b) joined by at least one crossing arc are
-    sorted and each emitted as a -> b then b -> a.  ``cross_arc_idx`` lists
-    the crossing road arcs pair by pair, ascending within a pair, and
-    ``cross_arc_pair`` gives each one's pair index.
+    Returns ``(spatial_src, spatial_dst, cross_src, cross_dst)``.  Group
+    pairs (a < b) joined by at least one crossing arc are sorted and each
+    emitted as a -> b then b -> a.  Spatial arc ``cross_dst[k]`` pools road
+    arc ``cross_src[k]``: every crossing arc is listed under both spatial
+    arcs of its pair, and each spatial arc's road arcs ascend.
     """
     groups = np.asarray(groups, dtype=np.int64)
     gs = groups[np.asarray(arc_src, dtype=np.int64)]
@@ -211,14 +199,12 @@ def community_spatial_arcs(arc_src, arc_dst, groups):
     lo = np.minimum(gs[crossing], gd[crossing])
     hi = np.maximum(gs[crossing], gd[crossing])
     keys, pair_of = np.unique(lo * n_groups + hi, return_inverse=True)
-    order = np.argsort(pair_of, kind="stable")
     pairs = np.stack([keys // n_groups, keys % n_groups], axis=1)
     return (
         pairs.ravel(),
         pairs[:, ::-1].ravel(),
-        crossing[order],
-        pair_of[order].astype(np.int64),
-        len(keys),
+        np.repeat(crossing, 2),
+        (2 * pair_of[:, None] + np.arange(2)).ravel(),
     )
 
 
@@ -270,7 +256,11 @@ def community_node_features(
     groups,
     n_groups: int,
 ) -> Tensor:
-    """Initial community features: pooled member nodes beside pooled internal arcs."""
+    """Initial community features: pooled member nodes beside pooled
+    internal arcs (both endpoints in the community; none -> zero row)."""
+    groups = np.asarray(groups, dtype=np.int64)
+    src = np.asarray(arc_src, dtype=np.int64)
+    internal = np.flatnonzero(groups[src] == groups[np.asarray(arc_dst, dtype=np.int64)])
     pooled_nodes = pool_nodes(phi, node_reps, groups, n_groups)
-    pooled_edges = pool_internal_edges(phi, edge_reps, arc_src, arc_dst, groups, n_groups)
+    pooled_edges = pool(phi, edge_reps, internal, groups[src[internal]], n_groups)
     return hstack([pooled_nodes, pooled_edges])

@@ -27,7 +27,9 @@ arcs.
 a heterogeneous graph with typed arc sets (spatial ``rn`` and OD ``od``):
 every layer convolves once per type, with its own weights and that type's
 arc features, then ``attention_fusion`` weighs the per-type node outputs
-per node, as in HAN's node-level then semantic-level attention.
+per node, as in HAN's node-level then semantic-level attention.  The fusion
+is ``attend`` again: each stacked (tag, node) row is an arc into its node,
+weighted by the fusion softmax.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ from .tensor import (
     attend,
     leaky_relu,
     matmul,
-    mul,
     segment_softmax,
-    segment_sum,
     tanh,
     vstack,
 )
@@ -169,7 +169,8 @@ def attention_fusion(
     """Softmax-weighted combination of equally shaped tagged inputs, per node.
 
     Each tag's per-node score is c' tanh(V W + b); weights are the softmax
-    of the scores across tags, so they sum to one for every node.
+    of the scores across tags, so they sum to one for every node.  The
+    weighted sum is one ``attend`` from the stacked tag rows into the nodes.
     """
     if len(inputs) < 2:
         raise ValueError("attention_fusion needs at least two tagged inputs")
@@ -184,7 +185,7 @@ def attention_fusion(
     seg = np.tile(np.arange(n, dtype=np.int64), n_tags)
     scores = matmul(tanh(add(matmul(X, fusion.W.tensor), fusion.b.tensor)), fusion.c.tensor)
     beta = segment_softmax(scores, seg, n)
-    out = segment_sum(mul(X, beta), seg, n)
+    out = attend(X, beta, np.arange(n_tags * n), seg, n)
 
     record = AttentionRecord(
         beta=beta.values.reshape(n_tags, n).T,

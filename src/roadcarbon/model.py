@@ -36,6 +36,7 @@ from .graphs import (
     community_node_features,
     community_spatial_arcs,
     od_arcs,
+    pool,
     pool_nodes,
 )
 from .layers import (
@@ -190,10 +191,12 @@ def fit_normalization(dataset: Dataset, train_ids: list[str]) -> NormStats:
 class RegionUnion:
     """Disjoint union of prepared regions, run as one graph.
 
-    Each region's node, arc, community and crossing-pair indices are
-    shifted past those of the regions before it, so no arc, pair or OD link
-    joins two regions.  ``node_region`` and ``community_region`` give each
-    row's region, by its position in the union.
+    Each region's node, arc, community and spatial-arc indices are shifted
+    past those of the regions before it, so no arc or OD link joins two
+    regions.  Spatial arc ``cross_dst[k]`` pools road arc ``cross_src[k]``
+    (see ``graphs.community_spatial_arcs``).  ``node_region`` and
+    ``community_region`` give each row's region, by its position in the
+    union.
     """
 
     node_feats: Tensor
@@ -204,9 +207,8 @@ class RegionUnion:
     n_communities: int
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
-    cross_arc_idx: np.ndarray
-    cross_arc_pair: np.ndarray
-    n_cross_pairs: int
+    cross_src: np.ndarray
+    cross_dst: np.ndarray
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
@@ -277,7 +279,7 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
     n_nodes = [r.node_feats.shape[0] for r in regions]
     n_arcs = [r.arc_src.size for r in regions]
     n_comms = [r.n_communities for r in regions]
-    n_pairs = [r.n_cross_pairs for r in regions]
+    n_spatial = [r.spatial_src.size for r in regions]
     positions = np.arange(len(regions))
     return RegionUnion(
         node_feats=_stacked([r.node_feats for r in regions]),
@@ -288,9 +290,8 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
         n_communities=sum(n_comms),
         spatial_src=_shifted([r.spatial_src for r in regions], n_comms),
         spatial_dst=_shifted([r.spatial_dst for r in regions], n_comms),
-        cross_arc_idx=_shifted([r.cross_arc_idx for r in regions], n_arcs),
-        cross_arc_pair=_shifted([r.cross_arc_pair for r in regions], n_pairs),
-        n_cross_pairs=sum(n_pairs),
+        cross_src=_shifted([r.cross_src for r in regions], n_arcs),
+        cross_dst=_shifted([r.cross_dst for r in regions], n_spatial),
         od_src=_shifted([r.od_src for r in regions], n_comms),
         od_dst=_shifted([r.od_dst for r in regions], n_comms),
         od_zflow=_stacked([r.od_zflow for r in regions]),
@@ -382,8 +383,8 @@ def prepare_dataset(
             ],
             dtype=np.int64,
         )
-        spatial_src, spatial_dst, cross_arc_idx, cross_arc_pair, n_pairs = (
-            community_spatial_arcs(graph.arc_src, graph.arc_dst, groups)
+        spatial_src, spatial_dst, cross_src, cross_dst = community_spatial_arcs(
+            graph.arc_src, graph.arc_dst, groups
         )
         od_src, od_dst, flows = od_arcs(by_region_od[region_id], community_index, min_flow)
         regions[region_id] = PreparedRegion(
@@ -395,9 +396,8 @@ def prepare_dataset(
             n_communities=len(communities),
             spatial_src=spatial_src,
             spatial_dst=spatial_dst,
-            cross_arc_idx=cross_arc_idx,
-            cross_arc_pair=cross_arc_pair,
-            n_cross_pairs=n_pairs,
+            cross_src=cross_src,
+            cross_dst=cross_dst,
             od_src=od_src,
             od_dst=od_dst,
             od_zflow=Tensor(
@@ -671,11 +671,10 @@ class EmissionModel:
         )
         spatial_feats = None
         if self.use_spatial:
-            # pooled connector-segment features, one row per crossing pair,
-            # duplicated onto its two spatial arcs, 2k and 2k + 1 for pair k
-            crossing = gather_rows(e_road, union.cross_arc_idx)
-            pair_feats = pool_nodes(phi, crossing, union.cross_arc_pair, union.n_cross_pairs)
-            spatial_feats = gather_rows(pair_feats, np.repeat(np.arange(union.n_cross_pairs), 2))
+            # each spatial arc pools the connector segments of its community pair
+            spatial_feats = pool(
+                phi, e_road, union.cross_src, union.cross_dst, union.spatial_src.size
+            )
         level = (self.community_od_embed, self.community_layers, self.community_fusion)
         v_out = self._hetero_forward(
             v_comm, union, spatial_feats, level, None if record is None else record.community

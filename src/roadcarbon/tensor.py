@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Implements exactly the primitive set the emission model's forward pass
-needs.  All tensors are 2-D; broadcasting is limited to the column-vector
-and scalar cases the model actually uses.
+Implements the primitive set the emission model's forward pass and loss
+use, and no more.  All tensors are 2-D; broadcasting is limited to the row
+and scalar cases of ``add``.
 
 A recorded graph is single-use.  ``backward`` frees it as it goes: once a
 node has passed its gradient on to its parents, its gradient, backward
@@ -13,16 +13,20 @@ therefore accumulate on leaves only (parameters and other tensors made with
 caller zeroes them between optimizer steps.  A second ``backward`` through
 a released graph raises ``ValueError``.
 
+``arc_linear`` and ``attend`` are the two graph kernels.  ``arc_linear``
+gives the rows ``[V[dst] | E | V[src]] @ M`` of a linear map applied to
+every arc's (destination, arc, source) triple, computed from node-side
+products ``V M_d`` and ``V M_s`` gathered per arc, so the arc-count triple
+matrix is never formed.  ``attend`` is the one weighted sum of rows into
+groups: row i is ``sum_a w[a] H[src[a]]`` over the arcs a into i, with no
+arc-count matrix kept for backward.  Attention aggregation, sum and mean
+pooling between hierarchy levels, and the per-node fusion of typed outputs
+are all ``attend`` calls; ``segment_max`` is the max pooling and
+``segment_softmax`` normalises scores within groups.
+
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
 slots reduces the input rows in input order.
-
-``arc_linear`` is the one graph kernel: the rows ``[V[dst] | E | V[src]] @ M``
-of a linear map applied to every arc's (destination, arc, source) triple,
-computed from node-side products ``V M_d`` and ``V M_s`` gathered per arc, so
-the arc-count triple matrix is never formed.  ``attend`` is its aggregation
-counterpart: the weighted gather-scatter ``sum_a w[a] H[src[a]]`` into each
-destination, with no arc-count message matrix kept for backward.
 """
 
 from __future__ import annotations
@@ -81,28 +85,11 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def item(self) -> float:
-        if self.values.size != 1:
-            raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
-        return float(self.values[0, 0])
-
-    def detach(self) -> "Tensor":
-        """A graph-free copy; backward through it reaches nothing."""
-        return Tensor(self.values.copy())
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.copy()  # copy: g may be a view into a child's grad
         else:
             self.grad += g
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op})"
@@ -137,10 +124,13 @@ def _slots(seg: np.ndarray, d: int) -> np.ndarray:
 
 
 def _segment_sum_np(vals: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
-    """Sum rows of ``vals`` by segment id; empty segments give zero rows."""
+    """Sum rows of ``vals`` by segment id; empty segments give zero rows.
+
+    Always float64: ``np.bincount`` gives int64 for zero rows.
+    """
     d = vals.shape[1]
     sums = np.bincount(_slots(seg, d), weights=vals.ravel(), minlength=n_segments * d)
-    return sums.reshape(n_segments, d)
+    return sums.astype(np.float64, copy=False).reshape(n_segments, d)
 
 
 # ---------------------------------------------------------------------------
@@ -185,48 +175,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 b.accumulate_grad(g.sum().reshape(1, 1))
 
     return _result(out_values, (a, b), backward_fn, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product; ``b`` may also be a column (nx1) scaling a's rows, or a scalar."""
-    if b.shape == a.shape:
-        mode = "same"
-    elif b.shape == (a.shape[0], 1):
-        mode = "col"
-    elif b.shape == (1, 1):
-        mode = "scalar"
-    else:
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out_values = a.values * b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.values)
-        if b.requires_grad:
-            if mode == "same":
-                b.accumulate_grad(g * a.values)
-            elif mode == "col":
-                b.accumulate_grad((g * a.values).sum(axis=1, keepdims=True))
-            else:
-                b.accumulate_grad((g * a.values).sum().reshape(1, 1))
-
-    return _result(out_values, (a, b), backward_fn, "mul")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _result(a.values * c, (a,), backward_fn, "scale")
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.values, g[0, 0]))
-
-    return _result(a.values.sum().reshape(1, 1), (a,), backward_fn, "sum")
 
 
 def hstack(tensors: list[Tensor]) -> Tensor:
@@ -346,7 +294,10 @@ def attend(H: Tensor, w: Tensor, src, dst, n: int) -> Tensor:
     ``src`` indexes H's rows and ``dst`` the n output rows; destinations
     without arcs give zero rows.  Backward gathers the upstream rows per arc
     and gathers ``H[src]`` again instead of keeping it from forward, so
-    the node holds no arc-count matrix between the passes.
+    the node holds no arc-count matrix between the passes.  When ``src``
+    lists H's rows in order, one arc per row (pooled members, fused
+    inputs), ``H[src]`` is H itself: nothing is gathered, and H's gradient
+    is the per-arc rows with no scatter.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -361,14 +312,20 @@ def attend(H: Tensor, w: Tensor, src, dst, n: int) -> Tensor:
         raise ValueError(f"attend: arc source out of range for {rows} rows")
     if dst.size and (dst.min() < 0 or dst.max() >= n):
         raise ValueError(f"attend: arc destination out of range for {n} rows")
-    out_values = _segment_sum_np(H.values[src] * w.values, dst, n)
+    identity = src.size == rows and np.array_equal(src, np.arange(rows))
+
+    def sources():
+        return H.values if identity else H.values[src]
+
+    out_values = _segment_sum_np(sources() * w.values, dst, n)
 
     def backward_fn(g):
         gd = g[dst]
         if w.requires_grad:
-            w.accumulate_grad((gd * H.values[src]).sum(axis=1, keepdims=True))
+            w.accumulate_grad((gd * sources()).sum(axis=1, keepdims=True))
         if H.requires_grad:
-            H.accumulate_grad(_segment_sum_np(gd * w.values, src, rows))
+            g_src = gd * w.values
+            H.accumulate_grad(g_src if identity else _segment_sum_np(g_src, src, rows))
 
     return _result(out_values, (H, w), backward_fn, "attend")
 
@@ -431,22 +388,6 @@ def segment_softmax(scores: Tensor, segment_of, n_segments: int) -> Tensor:
     return _result(out_values, (scores,), backward_fn, "segment_softmax")
 
 
-def segment_sum(values: Tensor, segment_of, n_segments: int) -> Tensor:
-    """Row i of the output is the sum of input rows with segment id i."""
-    seg = np.asarray(segment_of, dtype=np.int64)
-    if seg.shape[0] != values.shape[0]:
-        raise ValueError("segment_sum: one segment id per row required")
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise ValueError(f"segment id out of range [0, {n_segments})")
-    out_values = _segment_sum_np(values.values, seg, n_segments)
-
-    def backward_fn(g):
-        if values.requires_grad:
-            values.accumulate_grad(g[seg])
-
-    return _result(out_values, (values,), backward_fn, "segment_sum")
-
-
 def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
     """Per-segment column-wise max; empty segments give zero rows.
 
@@ -480,7 +421,7 @@ def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over an nx1 column of predictions."""
+    """Mean squared error over equally shaped predictions and targets."""
     if pred.shape != target.shape:
         raise ValueError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
     n = pred.shape[0]

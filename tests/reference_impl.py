@@ -1,6 +1,9 @@
-"""Independent brute-force references shared by layer and acceptance tests."""
+"""Independent brute-force references shared by layer and acceptance tests,
+and the entry-sum loss the gradient tests share."""
 
 import numpy as np
+
+from roadcarbon.tensor import Tensor, matmul
 
 
 def dense_egat_reference(V, E, src, dst, params, slope=0.2):
@@ -49,3 +52,9 @@ def random_arc_graph(rng, n, d_in=3, d_e=2):
     dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
     E = rng.normal(size=(m, d_e))
     return V, E, src, dst
+
+
+def entry_sum(x):
+    """The sum of ``x``'s entries as a 1x1 tensor, ``1' X 1`` from two matmuls."""
+    n, d = x.shape
+    return matmul(matmul(Tensor(np.ones((1, n))), x), Tensor(np.ones((d, 1))))

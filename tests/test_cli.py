@@ -133,6 +133,18 @@ def test_ablation_no_region_level_logs_zero_refreshes(workspace, tmp_path, capsy
     assert all(json.loads(line)["cache_refreshes"] == 0 for line in lines)
 
 
+def test_one_community_regions_train_exit_0(tmp_path):
+    # one community per region: no crossing arcs, so every spatial pool is empty
+    data = tmp_path / "data"
+    assert run_cli(
+        "gen-synth", "--out", data, "--regions", 20, "--grid-side", 3, "--communities", 1
+    ) == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"data_dir={data}\nout_dir={tmp_path / 'run'}\nepochs=2\nhidden=8\n")
+    assert run_cli("train", "--config", cfg) == 0
+    assert (tmp_path / "run" / "checkpoint.json").exists()
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run_cli("frobnicate") == 1
     assert "usage" in capsys.readouterr().err

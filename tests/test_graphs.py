@@ -12,11 +12,12 @@ from roadcarbon.graphs import (
     community_node_features,
     community_spatial_arcs,
     od_arcs,
-    pool_internal_edges,
+    pool,
     pool_nodes,
     road_class_index,
 )
-from roadcarbon.tensor import Tensor, gather_rows
+from roadcarbon.optim import Parameter, finite_difference_check
+from roadcarbon.tensor import Tensor, backward, gather_rows, mse_loss, vstack
 
 
 def seg(u, v, length=1.0, cls="primary", lon=0.5, lat=0.5):
@@ -129,6 +130,19 @@ def test_pool_nodes_unknown_phi():
         pool_nodes("median", Tensor([[1.0]]), [0], 1)
 
 
+NUMPY_POOL = {"sum": np.sum, "mean": np.mean, "max": np.max}
+
+
+def pool_loop(phi, rows, src, dst, n):
+    """Per-group numpy loop: group i reduces rows[src[k]] over dst[k] == i."""
+    out = np.zeros((n, rows.shape[1]))
+    for i in range(n):
+        members = rows[src[dst == i]]
+        if len(members):
+            out[i] = NUMPY_POOL[phi](members, axis=0)
+    return out
+
+
 def test_pool_nodes_max_matches_brute_force():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=(25, 6))
@@ -137,6 +151,20 @@ def test_pool_nodes_max_matches_brute_force():
     out = pool_nodes("max", Tensor(vals), groups, 4)
     for g in range(4):
         assert np.allclose(out.values[g], vals[groups == g].max(axis=0))
+    # pool: repeated sources, groups without entries (5 and 6), and no entries at all
+    src = rng.integers(0, 25, size=40)
+    dst = rng.integers(0, 5, size=40)
+    for phi in ("sum", "mean", "max"):
+        for s, d in ((src, dst), (src[:0], dst[:0])):
+            got = pool(phi, Tensor(vals), s, d, 7).values
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, pool_loop(phi, vals, s, d, 7), rtol=1e-13, atol=1e-15)
+        x = Parameter("x", Tensor(vals[:6], requires_grad=True))
+        target = Tensor(rng.normal(size=(7, 6)))
+        err = finite_difference_check(
+            lambda: mse_loss(pool(phi, x.tensor, src[:9] % 6, dst[:9], 7), target), [x]
+        )
+        assert err < 1e-6, phi
 
 
 def test_pool_permutation_invariance():
@@ -145,10 +173,23 @@ def test_pool_permutation_invariance():
     groups = rng.integers(0, 3, size=30)
     groups[:3] = np.arange(3)
     perm = rng.permutation(30)
+    src = rng.integers(0, 30, size=50)
+    dst = rng.integers(0, 4, size=50)
+    order = rng.permutation(50)
     for phi in ("mean", "sum", "max"):
         a = pool_nodes(phi, Tensor(vals), groups, 3).values
         b = pool_nodes(phi, Tensor(vals[perm]), groups[perm], 3).values
         assert np.max(np.abs(a - b)) < 1e-9
+        a = pool(phi, Tensor(vals), src, dst, 4).values
+        b = pool(phi, Tensor(vals), src[order], dst[order], 4).values
+        assert np.max(np.abs(a - b)) < 1e-9
+
+
+def internal_columns(phi, edge_reps, src, dst, groups, n_groups):
+    """The pooled internal-arc columns of the community features."""
+    node_reps = Tensor(np.zeros((len(groups), 1)))
+    out = community_node_features(phi, node_reps, edge_reps, src, dst, groups, n_groups)
+    return out.values[:, 1:]
 
 
 def test_pool_internal_edges():
@@ -157,15 +198,16 @@ def test_pool_internal_edges():
     src = [0, 1, 2, 3]
     dst = [1, 0, 3, 2]
     groups = [0, 0, 0, 1]
-    out = pool_internal_edges("mean", edge_reps, src, dst, groups, 2)
-    assert out.values[0, 0] == 3.0  # mean of both directions of the internal segment
-    assert out.values[1, 0] == 0.0  # no internal arcs
+    out = internal_columns("mean", edge_reps, src, dst, groups, 2)
+    assert out[0, 0] == 3.0  # mean of both directions of the internal segment
+    assert out[1, 0] == 0.0  # no internal arcs
 
 
 def test_pool_internal_all_cross_gives_zeros():
     edge_reps = Tensor([[1.0], [1.0]])
-    out = pool_internal_edges("mean", edge_reps, [0, 1], [1, 0], [0, 1], 2)
-    assert np.array_equal(out.values, np.zeros((2, 1)))
+    for phi in ("sum", "mean", "max"):
+        out = internal_columns(phi, edge_reps, [0, 1], [1, 0], [0, 1], 2)
+        assert out.dtype == np.float64 and np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_pool_internal_matches_brute_force():
@@ -176,35 +218,49 @@ def test_pool_internal_matches_brute_force():
     groups = rng.integers(0, 3, size=n)
     groups[:3] = np.arange(3)
     reps = rng.normal(size=(m, 4))
-    out = pool_internal_edges("sum", Tensor(reps), src, dst, groups, 3).values
-    expected = np.zeros((3, 4))
-    for k in range(m):
-        if groups[src[k]] == groups[dst[k]]:
-            expected[groups[src[k]]] += reps[k]
-    assert np.allclose(out, expected, atol=1e-12)
+    for phi in ("sum", "mean", "max"):
+        out = internal_columns(phi, Tensor(reps), src, dst, groups, 3)
+        internal = np.flatnonzero(groups[src] == groups[dst])
+        expected = pool_loop(phi, reps, internal, groups[src[internal]], 3)
+        assert np.allclose(out, expected, atol=1e-12), phi
 
 
 def pool_cross(phi, edge_reps, arc_src, arc_dst, groups):
+    """Pooled crossing-arc feature per spatial arc, pair then duplicate:
+    each community pair's crossing arcs pool once, into a row that spatial
+    arcs 2k and 2k + 1 of pair k then share."""
+    _, members = brute_force_crossings(list(arc_src), list(arc_dst), list(groups))
+    idx = [k for arcs in members for k in arcs]
+    pair = [p for p, arcs in enumerate(members) for _ in arcs]
+    pooled = pool_nodes(phi, gather_rows(edge_reps, idx), pair, len(members))
+    return gather_rows(pooled, np.repeat(np.arange(len(members)), 2))
+
+
+def spatial_pool(phi, edge_reps, arc_src, arc_dst, groups):
     """Pooled crossing-arc feature per spatial arc, as the community level forms it."""
-    _, _, idx, pair, n_pairs = community_spatial_arcs(arc_src, arc_dst, groups)
-    pooled = pool_nodes(phi, gather_rows(edge_reps, idx), pair, n_pairs)
-    return gather_rows(pooled, np.repeat(np.arange(n_pairs), 2))
+    sp_src, _, cross_src, cross_dst = community_spatial_arcs(arc_src, arc_dst, groups)
+    return pool(phi, edge_reps, cross_src, cross_dst, sp_src.size)
 
 
 def test_pool_cross_edges_single_and_mean():
     edge_reps = Tensor([[2.0, 0.0], [4.0, 2.0]])
-    out = pool_cross("mean", edge_reps, [0, 1], [1, 0], [0, 1])
+    out = spatial_pool("mean", edge_reps, [0, 1], [1, 0], [0, 1])
     assert np.allclose(out.values, [[3.0, 1.0], [3.0, 1.0]])
-    single = pool_cross("mean", Tensor([[5.0]]), [0], [1], [0, 1])
+    single = spatial_pool("mean", Tensor([[5.0]]), [0], [1], [0, 1])
     assert single.values.tolist() == [[5.0], [5.0]]
 
 
 def test_pool_cross_edges_requires_crossing_arc():
     # an arc inside one group links no pair: no spatial arc, nothing pooled
-    src, dst, idx, pair, n_pairs = community_spatial_arcs([0], [1], [0, 0])
-    assert n_pairs == 0
-    assert src.size == dst.size == idx.size == pair.size == 0
-    assert pool_cross("mean", Tensor([[1.0]]), [0], [1], [0, 0]).shape == (0, 1)
+    src, dst, cross_src, cross_dst = community_spatial_arcs([0], [1], [0, 0])
+    assert src.size == dst.size == cross_src.size == cross_dst.size == 0
+    for phi in ("sum", "mean", "max"):
+        reps = Tensor([[1.0]], requires_grad=True)
+        out = spatial_pool(phi, reps, [0], [1], [0, 0])
+        assert out.shape == (0, 1) and out.values.dtype == np.float64
+        # a one-community region still trains: the empty pool passes back a float64 zero
+        backward(mse_loss(vstack([out, Tensor([[1.0]])]), Tensor([[0.0]])))
+        assert reps.grad.dtype == np.float64 and reps.grad[0, 0] == 0.0
 
 
 def brute_force_crossings(src, dst, groups):
@@ -229,16 +285,25 @@ def test_pool_cross_matches_brute_force():
         reps = rng.normal(size=(m, 3))
         pairs, members = brute_force_crossings(src.tolist(), dst.tolist(), groups.tolist())
 
-        sp_src, sp_dst, idx, pair, n_pairs = community_spatial_arcs(src, dst, groups)
-        assert n_pairs == len(pairs)
+        sp_src, sp_dst, cross_src, cross_dst = community_spatial_arcs(src, dst, groups)
         assert sp_src.tolist() == [x for a, b in pairs for x in (a, b)]
         assert sp_dst.tolist() == [x for a, b in pairs for x in (b, a)]
-        assert idx.tolist() == [k for arcs in members for k in arcs]
-        assert pair.tolist() == [p for p, arcs in enumerate(members) for _ in arcs]
+        under = [cross_src[cross_dst == j].tolist() for j in range(sp_src.size)]
+        assert under == [arcs for arcs in members for _ in (0, 1)]
 
-        got = pool_cross("mean", Tensor(reps), src, dst, groups).values
-        want = np.repeat([reps[arcs].mean(axis=0) for arcs in members], 2, axis=0)
-        assert np.allclose(got, want.reshape(-1, 3), atol=1e-12), trial
+        for phi in ("sum", "mean", "max"):
+            e1, e2 = Tensor(reps, requires_grad=True), Tensor(reps, requires_grad=True)
+            got, want = spatial_pool(phi, e1, src, dst, groups), pool_cross(phi, e2, src, dst, groups)
+            target = Tensor(rng.normal(size=got.shape))
+            backward(mse_loss(got, target))
+            backward(mse_loss(want, target))
+            brute = [NUMPY_POOL[phi](reps[arcs], axis=0) for arcs in members for _ in (0, 1)]
+            np.testing.assert_allclose(got.values, brute, rtol=1e-13, atol=1e-15)
+            if phi == "mean":  # the 1/|pair| weight goes in before the sum, not after
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-14, atol=1e-15)
+            else:  # each spatial arc adds or compares its arcs in the same order
+                assert np.array_equal(got.values, want.values), (trial, phi)
+            np.testing.assert_allclose(e1.grad, e2.grad, rtol=1e-12, atol=1e-15)
 
 
 def test_hierarchy_validation():
@@ -252,12 +317,12 @@ def test_build_hetero_graph_community_mode():
     # segment arcs: (0,1) within c0; (1,2) crossing c0-c1
     src, dst = [0, 1, 1, 2], [1, 0, 2, 1]
     groups = [0, 0, 1]
-    sp_src, sp_dst, idx, pair, n_pairs = community_spatial_arcs(src, dst, groups)
+    sp_src, sp_dst, cross_src, cross_dst = community_spatial_arcs(src, dst, groups)
     assert sp_src.tolist() == [0, 1]
     assert sp_dst.tolist() == [1, 0]
-    assert idx.tolist() == [2, 3] and pair.tolist() == [0, 0] and n_pairs == 1
+    assert cross_src.tolist() == [2, 2, 3, 3] and cross_dst.tolist() == [0, 1, 0, 1]
     # pooled crossing feature = mean of arcs 2 and 3, same for both directions
-    assert np.allclose(pool_cross("mean", edge_reps, src, dst, groups).values, [[6.0, 7.0]] * 2)
+    assert np.allclose(spatial_pool("mean", edge_reps, src, dst, groups).values, [[6.0, 7.0]] * 2)
     od_src, od_dst, flows = od_arcs([ODFlow("ca", "cb", "community", 3.0)], {"ca": 0, "cb": 1})
     assert od_src.tolist() == [0]
     assert od_dst.tolist() == [1]
@@ -277,8 +342,8 @@ def test_build_hetero_graph_zero_flow_dropped():
 
 def test_build_hetero_graph_no_links_between_unrelated_pair():
     # arc is a within-community arc only: no crossing pair, no od
-    sp_src, sp_dst, _, _, n_pairs = community_spatial_arcs([0], [0], [0, 1])
-    assert len(sp_src) == len(sp_dst) == n_pairs == 0
+    sp_src, sp_dst, cross_src, _ = community_spatial_arcs([0], [0], [0, 1])
+    assert len(sp_src) == len(sp_dst) == len(cross_src) == 0
     assert len(od_arcs([], {"ca": 0, "cb": 1})[0]) == 0
 
 
@@ -309,7 +374,7 @@ def test_spatial_arcs_symmetric():
 
 def test_crossing_pairs_sorted():
     # the (1, 2) crossing comes first in arc order
-    sp_src, sp_dst, _, _, _ = community_spatial_arcs([2, 0, 3], [3, 1, 2], [0, 1, 1, 2])
+    sp_src, sp_dst, _, _ = community_spatial_arcs([2, 0, 3], [3, 1, 2], [0, 1, 1, 2])
     pairs = list(zip(sp_src[::2].tolist(), sp_dst[::2].tolist()))
     assert pairs == [(0, 1), (1, 2)]
 

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from reference_impl import entry_sum
 
 from roadcarbon import model as model_module
 from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
@@ -60,7 +61,7 @@ def test_intra_gradient_reaches_road_params(setting):
     for p in model.parameters():
         p.tensor.grad = None
     out = model.intra_representation([prep.regions[prep.region_ids[0]]])
-    backward(out.sum())
+    backward(entry_sum(out))
     grads = [np.abs(layer.W.grad).max() for layer in model.road_layers]
     assert all(g > 0 for g in grads)
 
@@ -106,7 +107,7 @@ def test_inter_grads_flow_via_live_row_only(setting):
         p.tensor.grad = None
     live = model.intra_representation([prep.regions[rid]])
     out = model.inter_representation(prep, [rid], live, cache)
-    backward(out.sum())
+    backward(entry_sum(out))
     assert np.abs(model.road_layers[0].W.grad).max() > 0
     assert np.abs(model.region_layers[0]["od"].W.grad).max() > 0
 
@@ -115,7 +116,7 @@ def test_inter_grads_flow_via_live_row_only(setting):
         p.tensor.grad = None
     detached = Tensor(cache.reps[rid])
     out = model.inter_representation(prep, [rid], detached, cache)
-    backward(out.sum())
+    backward(entry_sum(out))
     assert model.road_layers[0].W.grad is None
     assert np.abs(model.region_layers[0]["od"].W.grad).max() > 0
 
@@ -522,7 +523,7 @@ def test_all_ablation_variants_train_one_epoch(setting):
         for p in model.parameters():
             p.tensor.grad = None
         preds = vstack([model.predict_region(prep, rid, cache) for rid in splits[0]])
-        backward(preds.sum())
+        backward(entry_sum(preds))
         missing = [p.name for p in model.parameters() if p.grad is None]
         assert not missing, (variant, missing)
 
@@ -653,13 +654,14 @@ def test_one_region_is_its_own_union(setting):
 
 
 def test_union_spatial_arcs_pair_up_with_crossing_pairs(setting):
-    # the community level gives spatial arcs 2k and 2k + 1 the pooled
-    # features of crossing pair k, so in a union each pair's road arcs must
-    # join just the two communities of those arcs, both in one region
+    # the community level gives spatial arc j the pooled road arcs
+    # cross_src[k] with cross_dst[k] == j, so in a union the road arcs under
+    # arcs 2k and 2k + 1 must be the same ascending crossing arcs, joining
+    # just the two communities of those arcs, both in one region
     _, _, _, prep = setting
     u = model_module._union_regions([prep.regions[r] for r in prep.region_ids])
-    assert u.n_cross_pairs > len(prep.region_ids)
-    assert u.spatial_src.size == 2 * u.n_cross_pairs
+    n_spatial = u.spatial_src.size
+    assert n_spatial > 2 * len(prep.region_ids)
     forward, reverse = slice(0, None, 2), slice(1, None, 2)
     assert np.array_equal(u.spatial_src[forward], u.spatial_dst[reverse])
     assert np.array_equal(u.spatial_dst[forward], u.spatial_src[reverse])
@@ -667,12 +669,17 @@ def test_union_spatial_arcs_pair_up_with_crossing_pairs(setting):
         u.community_region[u.spatial_src], u.community_region[u.spatial_dst]
     )
     ends = np.sort(
-        np.stack([u.groups[u.arc_src[u.cross_arc_idx]], u.groups[u.arc_dst[u.cross_arc_idx]]]),
-        axis=0,
+        np.stack([u.groups[u.arc_src[u.cross_src]], u.groups[u.arc_dst[u.cross_src]]]), axis=0
     )
-    pair_ends = np.sort(np.stack([u.spatial_src[forward], u.spatial_dst[forward]]), axis=0)
-    assert np.array_equal(ends, pair_ends[:, u.cross_arc_pair])
-    assert np.array_equal(np.unique(u.cross_arc_pair), np.arange(u.n_cross_pairs))
+    arc_ends = np.sort(np.stack([u.spatial_src, u.spatial_dst]), axis=0)
+    assert np.array_equal(ends, arc_ends[:, u.cross_dst])
+    assert np.array_equal(np.unique(u.cross_dst), np.arange(n_spatial))
+    under = [u.cross_src[u.cross_dst == j] for j in range(n_spatial)]
+    assert all(np.all(np.diff(arcs) > 0) for arcs in under)
+    assert all(np.array_equal(a, b) for a, b in zip(under[forward], under[reverse]))
+    crossing = np.flatnonzero(u.groups[u.arc_src] != u.groups[u.arc_dst])
+    assert np.array_equal(np.unique(u.cross_src), crossing)
+    assert u.cross_src.size == 2 * crossing.size
 
 
 def test_prepare_rejects_region_without_intersections():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from reference_impl import entry_sum
 
 from roadcarbon.optim import Adam, Parameter, finite_difference_check, xavier_uniform, zeros
-from roadcarbon.tensor import Tensor, backward, mse_loss
+from roadcarbon.tensor import Tensor, add, backward, matmul, mse_loss
 
 
 def test_adam_first_step_moves_by_lr():
@@ -74,7 +75,7 @@ def test_duplicate_parameter_names_rejected():
 def test_fd_check_linear_function_is_exact():
     rng = np.random.default_rng(0)
     p = Parameter("p", Tensor(rng.normal(size=(3, 2)), requires_grad=True))
-    err = finite_difference_check(lambda: p.tensor.sum(), [p])
+    err = finite_difference_check(lambda: entry_sum(p.tensor), [p])
     assert err < 1e-9
 
 
@@ -82,21 +83,18 @@ def test_fd_check_detects_corrupted_gradient():
     rng = np.random.default_rng(1)
     p = Parameter("p", Tensor(rng.normal(size=(2, 2)), requires_grad=True))
 
-    from roadcarbon import tensor as T
+    origin = Tensor(np.zeros((2, 2)))
 
     def f():
-        return T.mul(p.tensor, p.tensor).sum()
+        return mse_loss(p.tensor, origin)
 
-    # corrupt the analytic grad by scaling the op's backward by 1.1
     true_err = finite_difference_check(f, [p])
     assert true_err < 1e-6
 
     def f_corrupted():
-        out = T.mul(p.tensor, p.tensor)
-        fudged = T.add(out, (p.tensor * 0.1) * 0.0)  # graph noise, zero value
-
-        # replace with a genuinely wrong analytic path: scale one branch
-        return T.add(out * 0.9, Tensor(out.values * 0.1)).sum()
+        # the same value, but only 0.9 of it reaches the analytic gradient
+        out = f()
+        return add(matmul(out, Tensor([[0.9]])), Tensor(out.values * 0.1))
 
     err = finite_difference_check(f_corrupted, [p])
     assert err >= 0.05

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_impl import entry_sum
 
 from roadcarbon import tensor as T
 from roadcarbon.optim import Parameter, finite_difference_check
@@ -10,6 +11,23 @@ from roadcarbon.tensor import Tensor, backward, toposort
 
 def param(values, name="p"):
     return Parameter(name, Tensor(values, requires_grad=True))
+
+
+def mse_with_upstream(out, target):
+    """``mse_loss(out, target)``, both padded with one zero row and column so
+    that outputs without rows or columns still give a loss, and the exact
+    gradient that loss sends back to ``out``."""
+    n, d = out.shape
+    padded = T.vstack([T.hstack([out, Tensor(np.zeros((n, 1)))]), Tensor(np.zeros((1, d + 1)))])
+    loss = T.mse_loss(padded, Tensor(np.pad(target, ((0, 1), (0, 1)))))
+    return loss, 2.0 / ((n + 1) * (d + 1)) * (out.values - target)
+
+
+def segment_sum(x, seg, n_seg):
+    """Rows of ``x`` summed by segment id, as the engine forms it: ``attend``
+    with one unit-weight arc per row."""
+    seg = np.asarray(seg)
+    return T.attend(x, Tensor(np.ones((seg.size, 1))), np.arange(seg.size), seg, n_seg)
 
 
 def test_matmul_identity():
@@ -34,7 +52,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     a = param(rng.normal(size=(3, 4)), "a")
     b = param(rng.normal(size=(4, 2)), "b")
-    err = finite_difference_check(lambda: T.matmul(a.tensor, b.tensor).sum(), [a, b])
+    err = finite_difference_check(lambda: entry_sum(T.matmul(a.tensor, b.tensor)), [a, b])
     assert err < 1e-6
 
 
@@ -53,17 +71,19 @@ def test_hstack_row_mismatch():
 def test_hstack_backward_slices_grads():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
-    backward(T.hstack([a, b]).sum())
-    assert np.array_equal(a.grad, np.ones((2, 2)))
-    assert np.array_equal(b.grad, np.ones((2, 3)))
+    loss, upstream = mse_with_upstream(T.hstack([a, b]), np.arange(10.0).reshape(2, 5))
+    backward(loss)
+    assert np.array_equal(a.grad, upstream[:, :2])
+    assert np.array_equal(b.grad, upstream[:, 2:])
 
 
 def test_vstack_backward_slices_grads():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((3, 2)), requires_grad=True)
-    backward(T.vstack([a, b]).sum())
-    assert np.array_equal(a.grad, np.ones((2, 2)))
-    assert np.array_equal(b.grad, np.ones((3, 2)))
+    loss, upstream = mse_with_upstream(T.vstack([a, b]), np.arange(10.0).reshape(5, 2))
+    backward(loss)
+    assert np.array_equal(a.grad, upstream[:2])
+    assert np.array_equal(b.grad, upstream[2:])
 
 
 def test_leaky_relu_values():
@@ -79,7 +99,7 @@ def test_activation_gradients():
     rng = np.random.default_rng(1)
     x = param(rng.normal(size=(4, 3)), "x")
     for fn in (lambda t: T.leaky_relu(t, 0.2), T.tanh):
-        err = finite_difference_check(lambda: fn(x.tensor).sum(), [x])
+        err = finite_difference_check(lambda: entry_sum(fn(x.tensor)), [x])
         assert err < 1e-6
 
 
@@ -117,35 +137,38 @@ def test_segment_softmax_gradient():
     rng = np.random.default_rng(3)
     x = param(rng.normal(size=(9, 1)), "x")
     seg = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-    w = Tensor(rng.normal(size=(9, 1)))
+    target = Tensor(rng.normal(size=(9, 1)))
 
     def f():
-        return T.mul(T.segment_softmax(x.tensor, seg, 3), w).sum()
+        return T.mse_loss(T.segment_softmax(x.tensor, seg, 3), target)
 
     assert finite_difference_check(f, [x]) < 1e-6
 
 
 def test_segment_sum_basic():
-    out = T.segment_sum(Tensor([[1.0], [2.0], [3.0]]), [0, 0, 1], 3)
+    out = segment_sum(Tensor([[1.0], [2.0], [3.0]]), [0, 0, 1], 3)
     assert np.array_equal(out.values, [[3.0], [3.0], [0.0]])
+    # zero rows still sum to float64 zeros (np.bincount alone gives int64)
+    empty = T._segment_sum_np(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)
+    assert empty.dtype == np.float64 and np.array_equal(empty, np.zeros((3, 2)))
 
 
 def test_segment_sum_single_segment_is_column_sum():
     vals = np.arange(12.0).reshape(4, 3)
-    out = T.segment_sum(Tensor(vals), [0, 0, 0, 0], 1)
+    out = segment_sum(Tensor(vals), [0, 0, 0, 0], 1)
     assert np.array_equal(out.values, vals.sum(axis=0, keepdims=True))
 
 
 def test_segment_sum_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        T.segment_sum(Tensor([[1.0]]), [5], 2)
+        segment_sum(Tensor([[1.0]]), [5], 2)
 
 
 def test_segment_mean_matches_group_by_oracle():
     rng = np.random.default_rng(4)
     vals = rng.normal(size=(30, 5))
     seg = rng.integers(0, 6, size=30)
-    sums = T.segment_sum(Tensor(vals), seg, 6).values
+    sums = segment_sum(Tensor(vals), seg, 6).values
     counts = np.bincount(seg, minlength=6)
     got = sums / np.maximum(counts, 1)[:, None]
     expected = np.zeros((6, 5))
@@ -160,10 +183,10 @@ def test_segment_sum_gradient():
     rng = np.random.default_rng(5)
     x = param(rng.normal(size=(8, 3)), "x")
     seg = np.array([0, 1, 1, 2, 0, 2, 2, 1])
-    w = Tensor(rng.normal(size=(3, 3)))
+    target = Tensor(rng.normal(size=(3, 3)))
 
     def f():
-        return T.mul(T.segment_sum(x.tensor, seg, 3), w).sum()
+        return T.mse_loss(segment_sum(x.tensor, seg, 3), target)
 
     assert finite_difference_check(f, [x]) < 1e-6
 
@@ -177,19 +200,19 @@ def test_segment_max_matches_group_by_oracle_and_grad():
     for g in range(5):
         assert np.allclose(out.values[g], vals[seg == g].max(axis=0))
     x = param(vals, "x")
-    w = Tensor(rng.normal(size=(5, 4)))
+    target = Tensor(rng.normal(size=(5, 4)))
 
     def f():
-        return T.mul(T.segment_max(x.tensor, seg, 5), w).sum()
+        return T.mse_loss(T.segment_max(x.tensor, seg, 5), target)
 
     assert finite_difference_check(f, [x]) < 1e-6
 
 
 @st.composite
 def segmented_rows(draw, width=None, min_rows=0, per_row=False, specials=False):
-    """(values, segment ids, n_segments, upstream grad) with empty segments,
+    """(values, segment ids, n_segments, loss target) with empty segments,
     zero rows and (unless ``width`` is given) zero columns allowed; the
-    upstream grad has one row per segment, or per input row if ``per_row``.
+    target has one row per segment, or per input row if ``per_row``.
     Values are multiples of 1/7, so summation order changes the last bits
     while ties in a segment max stay common; ``specials`` sprinkles NaN and
     -inf entries.  Half the cases reach 4096 elements."""
@@ -210,22 +233,26 @@ def segmented_rows(draw, width=None, min_rows=0, per_row=False, specials=False):
     return vals, seg, n_seg, upstream
 
 
-def _value_and_grad(op, vals, seg, n_seg, upstream):
+def _value_and_grad(op, vals, seg, n_seg, target):
+    """The op's output, the input's gradient, and the upstream gradient
+    that produced it."""
     x = Tensor(vals, requires_grad=True)
     out = op(x, seg, n_seg)
-    backward(T.mul(out, Tensor(upstream)).sum())
-    return out.values, x.grad
+    loss, upstream = mse_with_upstream(out, target)
+    backward(loss)
+    return out.values, x.grad, upstream
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=segmented_rows())
 def test_segment_sum_property_matches_per_segment_loop(case):
     # rows are added in input order, so the sum is bitwise the loop's
-    vals, seg, n_seg, upstream = case
-    got, grad = _value_and_grad(T.segment_sum, vals, seg, n_seg, upstream)
+    vals, seg, n_seg, target = case
+    got, grad, upstream = _value_and_grad(segment_sum, vals, seg, n_seg, target)
     want = np.zeros((n_seg, vals.shape[1]))
     for i in range(len(seg)):
         want[seg[i]] += vals[i]
+    assert got.dtype == grad.dtype == np.float64  # zero rows included
     assert np.array_equal(got, want)
     assert np.array_equal(grad, upstream[seg])
 
@@ -236,8 +263,8 @@ def test_segment_sum_property_matches_per_segment_loop(case):
 def test_segment_max_property_matches_per_segment_loop(case):
     # the gradient goes to the first NaN, or else the first row attaining
     # the maximum, of each (segment, column) slot
-    vals, seg, n_seg, upstream = case
-    got, grad = _value_and_grad(T.segment_max, vals, seg, n_seg, upstream)
+    vals, seg, n_seg, target = case
+    got, grad, upstream = _value_and_grad(T.segment_max, vals, seg, n_seg, target)
     want = np.zeros((n_seg, vals.shape[1]))
     want_grad = np.zeros_like(vals)
     for s in range(n_seg):
@@ -249,14 +276,14 @@ def test_segment_max_property_matches_per_segment_loop(case):
             want[s, c] = vals[first, c]
             want_grad[first, c] = upstream[s, c]
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(grad, want_grad, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=segmented_rows(width=1, min_rows=1, per_row=True))
 def test_segment_softmax_property_matches_per_segment_loop(case):
-    vals, seg, n_seg, upstream = case
-    got, grad = _value_and_grad(T.segment_softmax, vals, seg, n_seg, upstream)
+    vals, seg, n_seg, target = case
+    got, grad, upstream = _value_and_grad(T.segment_softmax, vals, seg, n_seg, target)
     want = np.zeros_like(vals)
     want_grad = np.zeros_like(vals)
     for s in range(n_seg):
@@ -281,8 +308,14 @@ def test_gather_rows_forward_and_grad():
     x = param(np.arange(6.0).reshape(3, 2), "x")
     out = T.gather_rows(x.tensor, [2, 0, 2])
     assert np.array_equal(out.values, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
-    err = finite_difference_check(lambda: T.gather_rows(x.tensor, [2, 0, 2]).sum(), [x])
+    err = finite_difference_check(lambda: entry_sum(T.gather_rows(x.tensor, [2, 0, 2])), [x])
     assert err < 1e-6
+    # no rows: a float64 (0, 2) output and a float64 zero gradient
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = T.gather_rows(x, [])
+    backward(mse_with_upstream(out, np.zeros((0, 2)))[0])
+    assert out.values.dtype == x.grad.dtype == np.float64
+    assert out.shape == (0, 2) and np.array_equal(x.grad, np.zeros((3, 2)))
 
 
 def arc_triple_oracle(V, E, src, dst, M, upstream):
@@ -323,10 +356,10 @@ def test_arc_linear_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     V, E, src, dst, M = _arc_linear_case(rng, n=4, m_e=5, k=2)
     v, e, w = param(V, "V"), param(E, "E"), param(M, "M")
-    upstream = Tensor(rng.normal(size=(len(src), 2)))
+    target = Tensor(rng.normal(size=(len(src), 2)))
 
     def f():
-        return T.mul(T.arc_linear(v.tensor, e.tensor, src, dst, w.tensor), upstream).sum()
+        return T.mse_loss(T.arc_linear(v.tensor, e.tensor, src, dst, w.tensor), target)
 
     assert finite_difference_check(f, [v, e, w]) < 1e-6
 
@@ -346,10 +379,10 @@ def test_arc_linear_property_matches_explicit_triple(n, m_e, loops, d_in, d_e, k
     # padded self-loop rows past E's rows
     rng = np.random.default_rng(seed)
     V, E, src, dst, M = _arc_linear_case(rng, n, m_e, loops, d_in, d_e, k)
-    upstream = rng.normal(size=(len(src), k))
     v, e, w = (Tensor(x, requires_grad=True) for x in (V, E, M))
     out = T.arc_linear(v, e, src, dst, w)
-    backward(T.mul(out, Tensor(upstream)).sum())
+    loss, upstream = mse_with_upstream(out, rng.normal(size=(len(src), k)))
+    backward(loss)
     want, dV, dE, dM = arc_triple_oracle(V, E, src, dst, M, upstream)
     scale = 1 + np.abs(want).max(initial=0.0)
     assert out.shape == (len(src), k)
@@ -397,10 +430,10 @@ def test_attend_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     h, w = param(rng.normal(size=(4, 3)), "H"), param(rng.normal(size=(7, 1)), "w")
     src, dst = rng.integers(0, 4, size=7), rng.integers(0, 6, size=7)
-    upstream = Tensor(rng.normal(size=(6, 3)))
+    target = Tensor(rng.normal(size=(6, 3)))
 
     def f():
-        return T.mul(T.attend(h.tensor, w.tensor, src, dst, 6), upstream).sum()
+        return T.mse_loss(T.attend(h.tensor, w.tensor, src, dst, 6), target)
 
     assert finite_difference_check(f, [h, w]) < 1e-6
 
@@ -411,21 +444,26 @@ def test_attend_gradient_matches_finite_differences():
     n=st.integers(1, 6),
     m=st.integers(0, 12),
     d=st.integers(1, 4),
+    one_arc_per_row=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_attend_property_matches_arc_loop(rows, n, m, d, seed):
+def test_attend_property_matches_arc_loop(rows, n, m, d, one_arc_per_row, seed):
     # m=0 has no arcs; random endpoints repeat arcs and leave destinations
-    # without arcs; the output row count n is drawn apart from H's rows
+    # without arcs; the output row count n is drawn apart from H's rows;
+    # ``one_arc_per_row`` takes H's rows in order as the sources, as pooling does
     rng = np.random.default_rng(seed)
+    m = rows if one_arc_per_row else m
     H, w = rng.normal(size=(rows, d)), rng.normal(size=(m, 1))
-    src, dst = rng.integers(0, rows, size=m), rng.integers(0, n, size=m)
-    upstream = rng.normal(size=(n, d))
+    src = np.arange(rows) if one_arc_per_row else rng.integers(0, rows, size=m)
+    dst = rng.integers(0, n, size=m)
     h, wt = Tensor(H, requires_grad=True), Tensor(w, requires_grad=True)
     out = T.attend(h, wt, src, dst, n)
-    backward(T.mul(out, Tensor(upstream)).sum())
+    loss, upstream = mse_with_upstream(out, rng.normal(size=(n, d)))
+    backward(loss)
     want, dH, dw = attend_oracle(H, w, src, dst, n, upstream)
     scale = 1 + np.abs(want).max(initial=0.0)
     assert out.shape == (n, d)
+    assert out.values.dtype == h.grad.dtype == wt.grad.dtype == np.float64
     assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-12 * scale
     for got, ref in ((h.grad, dH), (wt.grad, dw)):
         assert got.shape == ref.shape
@@ -468,16 +506,20 @@ def test_mse_loss_gradient():
     assert err < 1e-8
 
 
+def twice(x):
+    return T.matmul(x, Tensor([[2.0]]))
+
+
 def test_backward_linear():
     x = Tensor([[3.0]], requires_grad=True)
-    backward(x * 2.0)
+    backward(twice(x))
     assert x.grad[0, 0] == 2.0
 
 
 def test_backward_accumulates_without_zeroing():
     x = Tensor([[3.0]], requires_grad=True)
-    backward(x * 2.0)
-    backward(x * 2.0)
+    backward(twice(x))
+    backward(twice(x))
     assert x.grad[0, 0] == 4.0
 
 
@@ -490,8 +532,8 @@ def test_backward_on_a_leaf_loss():
 
 def test_backward_through_a_released_graph_raises():
     x = Tensor([[3.0]], requires_grad=True)
-    y = x * 2.0
-    loss = T.mul(y, y)
+    y = twice(x)
+    loss = T.matmul(y, y)
     backward(loss)
     assert x.grad[0, 0] == 24.0
     with pytest.raises(ValueError, match="released graph"):
@@ -505,24 +547,24 @@ def test_backward_through_a_released_graph_raises():
 def test_backward_frees_inner_grads_and_keeps_leaf_grads():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     inner = T.tanh(x)
-    loss = T.sum_all(T.mul(inner, inner))
+    loss = T.mse_loss(inner, Tensor(np.zeros((1, 2))))  # the mean of tanh(x)^2
     backward(loss)
     assert inner.grad is None and loss.grad is None
     assert inner._parents == () and inner._backward_fn is None
-    np.testing.assert_allclose(x.grad, 2 * np.tanh(x.values) * (1 - np.tanh(x.values) ** 2))
+    np.testing.assert_allclose(x.grad, np.tanh(x.values) * (1 - np.tanh(x.values) ** 2))
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(x * 1.0)
+        backward(T.tanh(x))
 
 
 def test_backward_visits_each_node_once():
     x = Tensor([[1.0]], requires_grad=True)
-    y = x * 2.0
+    y = twice(x)
     z = T.add(y, y)  # diamond: y reachable via two paths
-    w = T.mul(z, z)
+    w = T.matmul(z, z)
     order = toposort(w)
     ids = [id(n) for n in order]
     assert len(ids) == len(set(ids))
@@ -534,29 +576,21 @@ def test_backward_visits_each_node_once():
 def test_no_grad_disables_recording():
     x = Tensor([[1.0]], requires_grad=True)
     with T.no_grad():
-        y = x * 3.0
+        y = twice(x)
     assert not y.requires_grad
     assert y._backward_fn is None
 
 
-def test_detach_breaks_graph():
-    x = Tensor([[2.0]], requires_grad=True)
-    y = (x * 3.0).detach()
-    z = y * 5.0
-    assert not z.requires_grad
-
-
-def test_add_and_mul_broadcast_gradients():
+def test_add_broadcast_gradients():
     rng = np.random.default_rng(8)
     a = param(rng.normal(size=(4, 3)), "a")
     row = param(rng.normal(size=(1, 3)), "row")
     scalar = param(rng.normal(size=(1, 1)), "s")
-    col = param(rng.normal(size=(4, 1)), "col")
+    same = param(rng.normal(size=(4, 3)), "same")
     cases = [
-        (lambda: T.add(a.tensor, row.tensor).sum(), [a, row]),
-        (lambda: T.add(a.tensor, scalar.tensor).sum(), [a, scalar]),
-        (lambda: T.mul(a.tensor, col.tensor).sum(), [a, col]),
-        (lambda: T.mul(T.tanh(a.tensor), T.tanh(a.tensor)).sum(), [a]),
+        (lambda: entry_sum(T.add(a.tensor, row.tensor)), [a, row]),
+        (lambda: entry_sum(T.add(a.tensor, scalar.tensor)), [a, scalar]),
+        (lambda: entry_sum(T.add(T.tanh(a.tensor), same.tensor)), [a, same]),
     ]
     for f, ps in cases:
         assert finite_difference_check(f, ps) < 1e-6
