@@ -3,9 +3,9 @@ of the community and region graphs.
 
 Every move between hierarchy levels is one ``pool`` call, which reduces
 rows into groups: sum and mean pooling are the engine's gather-scatter
-kernel ``tensor.attend`` (weights 1, or 1/|group|), max pooling is a
-``segment_max`` of the gathered rows.  It runs on autodiff tensors, so
-gradients flow through the coarsening.  The typed-arc functions return
+kernel ``tensor.attend`` (weights 1, or 1/|group|), max pooling is
+``tensor.segment_max`` over the same source rows.  It runs on autodiff
+tensors, so gradients flow through the coarsening.  The typed-arc functions return
 plain index arrays, computed once per dataset.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, attend, gather_rows, hstack, segment_max
+from .tensor import Tensor, attend, hstack, segment_max
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +168,7 @@ def pool(phi: str, rows: Tensor, src, dst, n: int) -> Tensor:
         counts = np.bincount(dst, minlength=n).astype(np.float64)
         return attend(rows, Tensor(1.0 / counts[dst, None]), src, dst, n)
     if phi == "max":
-        return segment_max(gather_rows(rows, src), dst, n)
+        return segment_max(rows, dst, n, src)
     raise ValueError(f"unknown pooling function {phi!r} (expected mean, sum or max)")
 
 

@@ -46,6 +46,7 @@ from .tensor import (
     attend,
     leaky_relu,
     matmul,
+    row_prefix,
     segment_softmax,
     tanh,
     vstack,
@@ -133,12 +134,15 @@ def egat_layer(
     arc_src,
     arc_dst,
     params: EgatParams,
+    arcs_out: int | None = None,
 ) -> tuple[Tensor, Tensor | None, AttentionRecord]:
     """One convolution: returns updated nodes, updated arcs (None without an
     arc updater), attention record.
 
-    A graph without arcs takes the same path with zero-row arc tensors, so
-    every parameter of the layer still receives a (zero) gradient.
+    The arc update covers the first ``arcs_out`` arcs, all of them by
+    default: the arcs the next layer reads.  A graph without arcs takes the
+    same path with zero-row arc tensors, so every parameter of the layer
+    still receives a (zero) gradient.
     """
     n = V.shape[0]
     src = np.asarray(arc_src, dtype=np.int64)
@@ -156,7 +160,10 @@ def egat_layer(
     scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua), LEAKY_SLOPE)
     alpha = segment_softmax(scores, full_dst, n)
     V_out = attend(matmul(V, params.W.tensor), alpha, full_src, full_dst, n)
-    E_out = None if params.A is None else arc_linear(V, E, src, dst, params.A.tensor)
+    E_out = None
+    if params.A is not None:
+        k = m if arcs_out is None else arcs_out
+        E_out = arc_linear(V, row_prefix(E, k), src[:k], dst[:k], params.A.tensor)
 
     record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)
     return V_out, E_out, record
@@ -223,6 +230,7 @@ def stack_hetero(
     typed_arcs: list[tuple[str, np.ndarray, np.ndarray, Tensor]],
     layer_params: list[dict[str, EgatParams]],
     fusion: FusionParams | None,
+    layer_arcs: dict[str, list[int]] | None = None,
 ) -> tuple[Tensor, list[HeteroLayerRecord]]:
     """Sequential heterogeneous layers over ``typed_arcs`` entries
     (tag, src, dst, arc_feats).
@@ -232,17 +240,32 @@ def stack_hetero(
     node.  Fusion weights are shared across the stack (one site).  With a
     single surviving type (ablated graphs) fusion passes that type through
     with weight one everywhere.  Only the last layer may lack arc updaters.
+
+    Layer l reads the first ``layer_arcs[tag][l]`` arcs of each type, and
+    each layer's arc update computes only the arcs the next layer reads, so
+    the counts may only fall with depth.  Without ``layer_arcs`` every layer
+    reads every arc.  A caller that reads only some output rows orders each
+    type's arcs by how many hops their destination lies from those rows:
+    layer l then needs only the arcs into rows within ``depth - 1 - l``
+    hops, and the rows the caller reads equal those without prefixes.
     """
     if not layer_params:
         raise ValueError("stack_hetero needs at least one layer")
-    feats = {tag: f for tag, _, _, f in typed_arcs}
+    depth = len(layer_params)
+    counts = {
+        tag: layer_arcs[tag] if layer_arcs else [len(src)] * depth
+        for tag, src, _, _ in typed_arcs
+    }
+    feats = {tag: row_prefix(f, counts[tag][0]) for tag, _, _, f in typed_arcs}
     records = []
-    for params_by_tag in layer_params:
+    for layer, params_by_tag in enumerate(layer_params):
         outs: list[tuple[str, Tensor]] = []
         per_type: dict[str, AttentionRecord] = {}
         for tag, src, dst, _ in typed_arcs:
+            k = counts[tag][layer]
+            arcs_out = counts[tag][layer + 1] if layer + 1 < depth else None
             v_out, feats[tag], per_type[tag] = egat_layer(
-                V, feats[tag], src, dst, params_by_tag[tag]
+                V, feats[tag], src[:k], dst[:k], params_by_tag[tag], arcs_out
             )
             outs.append((tag, v_out))
         if len(outs) == 1:

@@ -233,7 +233,10 @@ class RegionEgo:
     Running the region stack on this subgraph reproduces the target's output
     row exactly: a node's value after layer l depends only on its l-hop
     in-neighborhood, and every node at distance k keeps its full incoming
-    arc set whenever its row is consumed (k <= hops - layer).
+    arc set whenever its row is consumed (k <= hops - layer).  Of a
+    depth-L stack, layer l reads only the arcs into nodes within
+    ``L - 1 - l`` hops; ``EgoUnion`` orders the arcs so that these are a
+    prefix.
     """
 
     nodes: np.ndarray  # global region indices, sorted
@@ -249,7 +252,15 @@ class RegionEgo:
 @dataclass
 class EgoUnion:
     """Disjoint union of target egos; ``target_rows[j]`` is target j's row
-    and ``nodes`` the global region index of every row."""
+    and ``nodes`` the global region index of every row.
+
+    Each arc type is sorted stably by its destination's hop distance to
+    that ego's target, so a destination's arcs keep their order.  Layer l
+    of the stack reads the prefix of ``layer_arcs[tag][l]`` arcs of type
+    ``tag`` (``rn`` spatial, ``od`` OD): the arcs into rows within
+    ``depth - 1 - l`` hops, the only rows a later layer reads.  Arcs into
+    rows farther out feed no layer and are left out.
+    """
 
     nodes: np.ndarray
     target_rows: np.ndarray
@@ -259,6 +270,7 @@ class EgoUnion:
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
+    layer_arcs: dict[str, list[int]]
 
 
 def _shifted(parts: list[np.ndarray], sizes: list[int]) -> np.ndarray:
@@ -300,19 +312,57 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
     )
 
 
-def _union_egos(egos: list[RegionEgo]) -> EgoUnion:
-    """The disjoint union of target egos, in order."""
+def _hop_distances(n: int, roots: np.ndarray, src: np.ndarray, dst: np.ndarray, hops: int):
+    """Each of ``n`` rows' distance in arcs to the nearest root along
+    ``src -> dst`` arcs, found in ``hops`` frontier steps; rows farther
+    away read ``hops + 1``."""
+    dist = np.full(n, hops + 1, dtype=np.int64)
+    dist[roots] = 0
+    for k in range(hops):
+        reached = src[dist[dst] == k]
+        dist[reached[dist[reached] > k + 1]] = k + 1
+    return dist
+
+
+def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
+    """The disjoint union of target egos, in order, with each arc type
+    ordered for a ``depth``-layer stack (see ``EgoUnion``)."""
     sizes = [e.nodes.size for e in egos]
     offsets = np.cumsum([0] + sizes[:-1])
+    target_rows = offsets + np.array([e.target_local for e in egos], dtype=np.int64)
+    spatial_src = _shifted([e.spatial_src for e in egos], sizes)
+    spatial_dst = _shifted([e.spatial_dst for e in egos], sizes)
+    od_src = _shifted([e.od_src for e in egos], sizes)
+    od_dst = _shifted([e.od_dst for e in egos], sizes)
+    dist = _hop_distances(
+        sum(sizes),
+        target_rows,
+        np.concatenate([spatial_src, od_src]),
+        np.concatenate([spatial_dst, od_dst]),
+        depth - 1,
+    )
+    # layer l reads the arcs into rows at most depth - 1 - l hops away
+    reach = np.arange(depth - 1, -1, -1)
+
+    def by_distance(dst: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The arcs some layer reads, in stable order of destination
+        distance, and each layer's prefix of them."""
+        order = np.argsort(dist[dst], kind="stable")
+        counts = np.searchsorted(dist[dst[order]], reach, side="right")
+        return order[: counts[0]], counts.tolist()
+
+    sp_order, rn_read = by_distance(spatial_dst)
+    od_order, od_read = by_distance(od_dst)
     return EgoUnion(
         nodes=np.concatenate([e.nodes for e in egos]),
-        target_rows=offsets + np.array([e.target_local for e in egos], dtype=np.int64),
-        spatial_src=_shifted([e.spatial_src for e in egos], sizes),
-        spatial_dst=_shifted([e.spatial_dst for e in egos], sizes),
-        spatial_feats=_stacked([e.spatial_feats for e in egos]),
-        od_src=_shifted([e.od_src for e in egos], sizes),
-        od_dst=_shifted([e.od_dst for e in egos], sizes),
-        od_zflow=_stacked([e.od_zflow for e in egos]),
+        target_rows=target_rows,
+        spatial_src=spatial_src[sp_order],
+        spatial_dst=spatial_dst[sp_order],
+        spatial_feats=Tensor(_stacked([e.spatial_feats for e in egos]).values[sp_order]),
+        od_src=od_src[od_order],
+        od_dst=od_dst[od_order],
+        od_zflow=Tensor(_stacked([e.od_zflow for e in egos]).values[od_order]),
+        layer_arcs={"rn": rn_read, "od": od_read},
     )
 
 
@@ -634,11 +684,13 @@ class EmissionModel:
         spatial_feats: Tensor | None,
         level: tuple,
         records: list[HeteroLayerRecord] | None,
+        layer_arcs: dict[str, list[int]] | None = None,
     ) -> Tensor:
         """One heterogeneous level, (od_embed, layers, fusion), on node rows
         ``V`` of a community-graph union or of a region-level ego union.  OD
         arcs carry a linear lift of the z-scored log flows; layer records
-        extend ``records``."""
+        extend ``records``.  ``layer_arcs`` is ``stack_hetero``'s per-layer
+        arc prefix, every arc by default."""
         od_embed, layers, fusion = level
         typed = []
         if self.use_spatial:
@@ -647,7 +699,7 @@ class EmissionModel:
             embed_w, embed_b = od_embed
             od_feats = add(matmul(graph.od_zflow, embed_w.tensor), embed_b.tensor)
             typed.append(("od", graph.od_src, graph.od_dst, od_feats))
-        v_out, layer_records = stack_hetero(V, typed, layers, fusion)
+        v_out, layer_records = stack_hetero(V, typed, layers, fusion, layer_arcs)
         if records is not None:
             records.extend(layer_records)
         return v_out
@@ -695,9 +747,12 @@ class EmissionModel:
 
         Evaluated on the disjoint union of the targets' precomputed
         receptive-field subgraphs, which reproduces each full-graph target
-        row exactly.  Every row except a target's own is a cache constant,
-        another batch target's row inside an ego included; only the live
-        rows carry gradient.
+        row exactly.  Layer l runs only on the arcs into rows within
+        ``depth - 1 - l`` hops of their target, an arc prefix per type (see
+        ``EgoUnion``); the rows past it are computed but never read.  Every
+        row except a target's own is a cache constant, another batch
+        target's row inside an ego included; only the live rows carry
+        gradient.
         """
         for region_id in region_ids:
             if region_id not in cache.reps:
@@ -707,7 +762,7 @@ class EmissionModel:
                 f"prepared data carved {prepared.ego_hops}-hop subgraphs but the "
                 f"region stack is {len(self.region_layers)} layers deep"
             )
-        union = _union_egos([prepared.egos[r] for r in region_ids])
+        union = _union_egos([prepared.egos[r] for r in region_ids], len(self.region_layers))
         ids = prepared.region_ids
         n_rows = union.nodes.size
         cached = np.concatenate([cache.reps[ids[g]] for g in union.nodes.tolist()], axis=0)
@@ -718,7 +773,7 @@ class EmissionModel:
         level = (self.region_od_embed, self.region_layers, self.region_fusion)
         v_out = self._hetero_forward(
             node_feats, union, union.spatial_feats, level,
-            None if record is None else record.region,
+            None if record is None else record.region, union.layer_arcs,
         )
         if record is not None:
             record.region_target_rows = union.target_rows

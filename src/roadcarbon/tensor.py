@@ -239,6 +239,24 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return _result(out_values, (x,), backward_fn, "gather_rows")
 
 
+def row_prefix(x: Tensor, k: int) -> Tensor:
+    """The first ``k`` rows of ``x``; ``x`` itself when that is all of them.
+    Backward pads the upstream rows with zero rows for the rest."""
+    rows = x.shape[0]
+    if not 0 <= k <= rows:
+        raise ValueError(f"row_prefix: {k} rows of a {rows}-row tensor")
+    if k == rows:
+        return x
+
+    def backward_fn(g):
+        if x.requires_grad:
+            full = np.zeros(x.shape)
+            full[:k] = g
+            x.accumulate_grad(full)
+
+    return _result(x.values[:k], (x,), backward_fn, "row_prefix")
+
+
 def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
     """Rows ``[V[dst] | E | V[src]] @ M``, one per arc, without the triple.
 
@@ -388,20 +406,28 @@ def segment_softmax(scores: Tensor, segment_of, n_segments: int) -> Tensor:
     return _result(out_values, (scores,), backward_fn, "segment_softmax")
 
 
-def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
-    """Per-segment column-wise max; empty segments give zero rows.
+def segment_max(values: Tensor, segment_of, n_segments: int, src=None) -> Tensor:
+    """Per-segment column-wise max of the rows ``values[src]``, row k going
+    to segment ``segment_of[k]``; empty segments give zero rows.
 
-    Gradient routes to the first row attaining the maximum in each
+    ``src`` defaults to every row in order.  As in ``attend``, rows listed
+    in order are read in place; otherwise the gathered rows live through
+    forward only, and backward scatter-adds to the source rows.  Gradient
+    routes to the first gathered row attaining the maximum in each
     (segment, column) slot; a NaN counts as the maximum, as in ``argmax``.
     """
+    rows, d = values.shape
     seg = np.asarray(segment_of, dtype=np.int64)
-    if seg.shape[0] != values.shape[0]:
-        raise ValueError("segment_max: one segment id per row required")
+    src = np.arange(rows) if src is None else np.asarray(src, dtype=np.int64)
+    if seg.shape != src.shape:
+        raise ValueError("segment_max: one segment id per gathered row required")
     if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
         raise ValueError(f"segment id out of range [0, {n_segments})")
-    d = values.shape[1]
+    if src.size and (src.min() < 0 or src.max() >= rows):
+        raise ValueError(f"segment_max: source row out of range for {rows} rows")
+    identity = src.size == rows and np.array_equal(src, np.arange(rows))
     slots = _slots(seg, d)
-    flat = values.values.ravel()
+    flat = (values.values if identity else values.values[src]).ravel()
     best = np.full(n_segments * d, -np.inf)
     np.maximum.at(best, slots, flat)
     # the first flat position attaining its slot's maximum; a NaN wins, as in argmax
@@ -413,9 +439,9 @@ def segment_max(values: Tensor, segment_of, n_segments: int) -> Tensor:
 
     def backward_fn(g):
         if values.requires_grad:
-            dx = np.zeros(flat.size)
-            dx[winner[filled]] = g.ravel()[filled]  # one winner per slot
-            values.accumulate_grad(dx.reshape(values.shape))
+            dx = np.zeros((src.size, d))
+            dx.ravel()[winner[filled]] = g.ravel()[filled]  # one winner per slot
+            values.accumulate_grad(dx if identity else _segment_sum_np(dx, src, rows))
 
     return _result(out_values, (values,), backward_fn, "segment_max")
 

@@ -61,7 +61,9 @@ def test_eval_prints_single_json_with_metric_keys(workspace, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     payload = json.loads(out)  # exactly one JSON object on stdout
-    assert {"r2", "mae", "rmse", "raw_r2", "raw_mae", "raw_rmse"} <= set(payload)
+    assert set(payload) == {
+        "split", "n_regions", "r2", "mae", "rmse", "raw_r2", "raw_mae", "raw_rmse"
+    }
 
 
 def test_predict_writes_expected_columns(workspace, tmp_path):

@@ -5,12 +5,16 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_impl import entry_sum
 
+from roadcarbon import graphs
 from roadcarbon import model as model_module
 from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
 from roadcarbon.data import Dataset, split_dataset
-from roadcarbon.graphs import Hierarchy, build_road_graph, pool_nodes
+from roadcarbon.graphs import Hierarchy, adjacency_arcs, build_road_graph, pool_nodes
+from roadcarbon.layers import EgatParams, FusionParams, stack_hetero
 from roadcarbon.model import (
     CHECKPOINT_FORMAT,
     CheckpointError,
@@ -25,7 +29,16 @@ from roadcarbon.model import (
     set_ablation,
 )
 from roadcarbon.synth import SynthParams, generate_synthetic
-from roadcarbon.tensor import Tensor, backward, mse_loss, no_grad, toposort, vstack
+from roadcarbon.tensor import (
+    Tensor,
+    backward,
+    gather_rows,
+    mse_loss,
+    no_grad,
+    segment_max,
+    toposort,
+    vstack,
+)
 
 
 SMALL = RunConfig(hidden=8, layers=2, layers_road=2, seed=3, epochs=2)
@@ -680,6 +693,199 @@ def test_union_spatial_arcs_pair_up_with_crossing_pairs(setting):
     crossing = np.flatnonzero(u.groups[u.arc_src] != u.groups[u.arc_dst])
     assert np.array_equal(np.unique(u.cross_src), crossing)
     assert u.cross_src.size == 2 * crossing.size
+
+
+def test_max_pooling_records_as_many_nodes_as_sum_and_mean(monkeypatch):
+    # max pooling reads its source rows inside segment_max: a training
+    # step records as many nodes as under sum or mean, and its predictions
+    # and gradients are bitwise those of gathering the rows first
+    config, stats, prep, cache, batch = union_world("criterion-4-400")
+    nodes = {}
+    for pooling in POOLING_CHOICES:
+        model = EmissionModel(config.with_overrides(pooling=pooling), stats)
+        targets = Tensor(np.array([prep.regions[r].label_norm for r in batch]).reshape(-1, 1))
+        loss = mse_loss(model.predict_batch(prep, batch, cache), targets)
+        nodes[pooling] = sum(n._op is not None for n in toposort(loss))
+    assert nodes["max"] == nodes["sum"] == nodes["mean"], nodes
+
+    model = EmissionModel(config.with_overrides(pooling="max"), stats)
+    want_pred, want_grads = loss_and_grads(
+        model, prep, batch, lambda: model.predict_batch(prep, batch, cache)
+    )
+    pool = graphs.pool
+
+    def gather_then_max(phi, rows, src, dst, n):
+        if phi != "max":
+            return pool(phi, rows, src, dst, n)
+        return segment_max(gather_rows(rows, src), dst, n)
+
+    monkeypatch.setattr(graphs, "pool", gather_then_max)
+    monkeypatch.setattr(model_module, "pool", gather_then_max)
+    got_pred, got_grads = loss_and_grads(
+        model, prep, batch, lambda: model.predict_batch(prep, batch, cache)
+    )
+    assert np.array_equal(got_pred, want_pred)
+    for name, want in want_grads.items():
+        assert np.array_equal(got_grads[name], want), name
+
+
+# ---------------------------------------------------------------------------
+# region level: each layer reads only the arcs its targets' rows need
+
+REGION_ABLATIONS = [a for a in ABLATION_CHOICES if a != "no_region_level"]
+
+
+@pytest.fixture(scope="module")
+def region_world():
+    # 4-hop egos on 24 regions: every allowed depth leaves arcs unread
+    ds = generate_synthetic(SynthParams(n_regions=24, grid_side=3, communities=2, seed=31))
+    stats = fit_normalization(ds, ds.region_ids)
+    prep = prepare_dataset(ds, stats, hops=4)
+    rng = np.random.default_rng(13)
+    cache = RegionCache(epoch=0, reps={r: rng.normal(size=(1, 8)) for r in prep.region_ids})
+    return stats, prep, cache
+
+
+@pytest.mark.parametrize("depth", (2, 3, 4))
+def test_region_arc_prefixes_match_unpruned_stack(region_world, depth, monkeypatch):
+    stats, prep, cache = region_world
+    batch = prep.region_ids[::2]
+    egos = [prep.egos[r] for r in batch]
+    union = model_module._union_egos(egos, depth)
+    ego_arcs = {"rn": sum(e.spatial_src.size for e in egos), "od": sum(e.od_src.size for e in egos)}
+    for tag, counts in union.layer_arcs.items():
+        assert len(counts) == depth and counts == sorted(counts, reverse=True)
+        assert counts[-1] < counts[0] < ego_arcs[tag], (tag, counts, ego_arcs[tag])
+
+    def unpruned(V, typed, layers, fusion, layer_arcs=None):
+        return stack_hetero(V, typed, layers, fusion)
+
+    for ablation in REGION_ABLATIONS:
+        config = RunConfig(hidden=8, layers=depth, layers_road=2, seed=3, ablation=ablation)
+        model = EmissionModel(config, stats)
+
+        def forward():
+            return model.predict_batch(prep, batch, cache)
+
+        got_pred, got_grads = loss_and_grads(model, prep, batch, forward)
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "stack_hetero", unpruned)
+            want_pred, want_grads = loss_and_grads(model, prep, batch, forward)
+        assert np.abs(got_pred - want_pred).max() <= 1e-12, ablation
+        for name, want in want_grads.items():
+            scale = np.abs(want).max()
+            assert np.abs(got_grads[name] - want).max() <= 1e-12 * scale, (ablation, name)
+
+
+@pytest.mark.parametrize("depth", (2, 3, 4))
+def test_removing_an_od_arc_into_the_target_changes_its_prediction(region_world, depth):
+    stats, prep, cache = region_world
+    model = EmissionModel(RunConfig(hidden=8, layers=depth, layers_road=2, seed=3), stats)
+    target = next(
+        r for r in prep.region_ids if (prep.egos[r].od_dst == prep.egos[r].target_local).any()
+    )
+    ego = prep.egos[target]
+    keep = np.ones(ego.od_dst.size, dtype=bool)
+    keep[np.flatnonzero(ego.od_dst == ego.target_local)[0]] = False
+    truncated = model_module.RegionEgo(
+        nodes=ego.nodes,
+        target_local=ego.target_local,
+        spatial_src=ego.spatial_src,
+        spatial_dst=ego.spatial_dst,
+        spatial_feats=ego.spatial_feats,
+        od_src=ego.od_src[keep],
+        od_dst=ego.od_dst[keep],
+        od_zflow=Tensor(ego.od_zflow.values[keep]),
+    )
+    with no_grad():
+        base = model.predict_region(prep, target, cache).values[0, 0]
+        prep.egos[target] = truncated
+        try:
+            cut = model.predict_region(prep, target, cache).values[0, 0]
+        finally:
+            prep.egos[target] = ego
+    assert abs(cut - base) > 1e-9, (base, cut)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    depth=st.integers(1, 4),
+    extra_hops=st.integers(0, 2),
+    tags=st.sampled_from([("rn",), ("od",), ("rn", "od")]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tags, seed):
+    """On a random region graph, the ego union's per-layer arc prefixes give
+    the targets' rows and the parameter gradients of the unpruned stack on
+    the same union, and the rows of the stack run on the whole graph."""
+    rng = np.random.default_rng(seed)
+    ids = [f"r{i}" for i in range(n)]
+    index = {r: i for i, r in enumerate(ids)}
+    pairs = [(ids[a], ids[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35]
+    sp_src, sp_dst = adjacency_arcs(pairs, index)
+    od = np.array(
+        [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.3],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    od_src, od_dst = od[:, 0], od[:, 1]
+    zflow = rng.normal(size=od_src.size)
+    egos = model_module._build_region_egos(
+        ids, sp_src, sp_dst, od_src, od_dst, zflow, depth + extra_hops
+    )
+    targets = [ids[i] for i in rng.permutation(n)[: rng.integers(1, n + 1)]]
+    union = model_module._union_egos([egos[t] for t in targets], depth)
+
+    d = 3
+    d_e = {"rn": 1, "od": 1}
+    layers = [
+        {
+            tag: EgatParams.create(
+                f"{tag}{i}", d, d_e[tag] if i == 0 else d, d,
+                d if i + 1 < depth else None, d, rng,
+            )
+            for tag in tags
+        }
+        for i in range(depth)
+    ]
+    fusion = FusionParams.create("f", d, rng) if len(tags) == 2 else None
+    params = [p for layer in layers for eg in layer.values() for p in eg.parameters()]
+    params += fusion.parameters() if fusion else []
+    X = rng.normal(size=(n, d))
+    upstream = Tensor(rng.normal(size=(len(targets), d)))
+
+    def typed(graph_src, graph_dst, sp_feats, od_src_, od_dst_, od_feats):
+        arcs = {"rn": (graph_src, graph_dst, sp_feats), "od": (od_src_, od_dst_, od_feats)}
+        return [(tag, *arcs[tag]) for tag in tags]
+
+    union_arcs = typed(
+        union.spatial_src, union.spatial_dst, union.spatial_feats,
+        union.od_src, union.od_dst, union.od_zflow,
+    )
+
+    def rows_and_grads(V, arcs, rows, layer_arcs=None):
+        for p in params:
+            p.tensor.grad = None
+        out, _ = stack_hetero(V, arcs, layers, fusion, layer_arcs)
+        picked = gather_rows(out, rows)
+        backward(mse_loss(picked, upstream))
+        return picked.values, [p.grad for p in params]
+
+    V = Tensor(X[union.nodes])
+    got, got_grads = rows_and_grads(V, union_arcs, union.target_rows, union.layer_arcs)
+    want, want_grads = rows_and_grads(V, union_arcs, union.target_rows)
+    full, _ = rows_and_grads(
+        Tensor(X),
+        typed(
+            sp_src, sp_dst, Tensor(np.zeros((sp_src.size, 1))),
+            od_src, od_dst, Tensor(zflow.reshape(-1, 1)),
+        ),
+        [index[t] for t in targets],
+    )
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got - full).max() <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0)
 
 
 def test_prepare_rejects_region_without_intersections():

@@ -279,6 +279,35 @@ def test_segment_max_property_matches_per_segment_loop(case):
     assert np.array_equal(grad, want_grad, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # NaN entries
+@settings(max_examples=60, deadline=None)
+@given(case=segmented_rows(specials=True), seed=st.integers(0, 2**32 - 1))
+def test_segment_max_of_source_rows_matches_gather_then_max(case, seed):
+    # reading values[src] inside the op, repeats included, is bitwise the
+    # max of the rows gathered first, in value and gradient
+    vals, seg, n_seg, target = case
+    src = np.random.default_rng(seed).integers(0, max(len(seg), 1), size=len(seg))
+    got, grad, _ = _value_and_grad(
+        lambda x, s, n: T.segment_max(x, s, n, src), vals, seg, n_seg, target
+    )
+    want, want_grad, _ = _value_and_grad(
+        lambda x, s, n: T.segment_max(T.gather_rows(x, src), s, n), vals, seg, n_seg, target
+    )
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(grad, want_grad, equal_nan=True)
+
+
+def test_segment_max_reads_rows_in_order_in_place():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = T.segment_max(x, [1, 0, 1], 2, np.arange(3))
+    assert out._parents == (x,)
+    assert np.array_equal(out.values, [[2.0, 3.0], [4.0, 5.0]])
+    with pytest.raises(ValueError, match="one segment id per gathered row"):
+        T.segment_max(x, [0, 0], 1, np.arange(3))
+    with pytest.raises(ValueError, match="source row out of range"):
+        T.segment_max(x, [0], 1, [3])
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=segmented_rows(width=1, min_rows=1, per_row=True))
 def test_segment_softmax_property_matches_per_segment_loop(case):
@@ -316,6 +345,21 @@ def test_gather_rows_forward_and_grad():
     backward(mse_with_upstream(out, np.zeros((0, 2)))[0])
     assert out.values.dtype == x.grad.dtype == np.float64
     assert out.shape == (0, 2) and np.array_equal(x.grad, np.zeros((3, 2)))
+
+
+def test_row_prefix_forward_and_grad():
+    x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    assert T.row_prefix(x, 4) is x
+    out = T.row_prefix(x, 3)
+    assert np.array_equal(out.values, x.values[:3])
+    backward(mse_with_upstream(out, np.zeros((3, 2)))[0])
+    want = np.zeros((4, 2))
+    want[:3] = mse_with_upstream(Tensor(x.values[:3]), np.zeros((3, 2)))[1]
+    assert np.array_equal(x.grad, want)
+    assert T.row_prefix(x, 0).shape == (0, 2)
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match="row_prefix"):
+            T.row_prefix(x, k)
 
 
 def arc_triple_oracle(V, E, src, dst, M, upstream):

@@ -2,11 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roadcarbon.config import RunConfig
+from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
 from roadcarbon.model import EmissionModel, fit_normalization, prepare_dataset, refresh_region_cache
 from roadcarbon.synth import SynthParams, generate_synthetic
-from roadcarbon.train import Metrics, compute_metrics, evaluate, train
+from roadcarbon.tensor import Tensor, backward, mse_loss
+from roadcarbon.train import Metrics, compute_metrics, evaluate, predict_split, train
 
 
 CFG = RunConfig(hidden=8, layers=2, layers_road=2, seed=7, epochs=3, batch_size=8)
@@ -136,6 +139,30 @@ def test_stop_below_train_mse(setting):
     assert len(result.epoch_log) == 1  # any finite loss beats 1e9
 
 
+@pytest.mark.parametrize("ablation", ["none", "no_region_level"])
+def test_batched_evaluate_matches_per_region_predictions(setting, ablation):
+    ds, splits, stats, prep = setting
+    model = EmissionModel(CFG.with_overrides(ablation=ablation), stats)
+    cache = refresh_region_cache(model, prep, 0) if model.use_region else None
+    for ids in splits:
+        preds = predict_split(model, prep, ids, cache)
+        p_norm = np.array([preds[r] for r in ids])
+        want = (
+            compute_metrics([prep.regions[r].label_norm for r in ids], p_norm),
+            compute_metrics(
+                [prep.regions[r].label_raw for r in ids],
+                [prep.stats.denormalize_label(z) for z in p_norm],
+            ),
+        )
+        for got_m, want_m in zip(evaluate(model, prep, ids, cache), want):
+            for name in ("r2", "mae", "rmse"):
+                got_v, want_v = getattr(got_m, name), getattr(want_m, name)
+                if np.isnan(want_v):  # a one-region split has no R^2
+                    assert np.isnan(got_v)
+                else:
+                    assert abs(got_v - want_v) <= 1e-12 * max(abs(want_v), 1.0), (ids, name)
+
+
 def test_evaluate_reports_norm_and_raw(setting):
     ds, splits, stats, prep = setting
     model = EmissionModel(CFG, stats)
@@ -145,3 +172,33 @@ def test_evaluate_reports_norm_and_raw(setting):
     assert raw.mae > 0
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, prep, [], cache)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    communities=st.integers(1, 2),
+    n_regions=st.integers(2, 5),
+    grid_side=st.integers(2, 3),
+    ablation=st.sampled_from(ABLATION_CHOICES),
+    pooling=st.sampled_from(POOLING_CHOICES),
+    seed=st.integers(0, 2**16),
+)
+def test_one_or_two_communities_per_region_train_a_step(
+    communities, n_regions, grid_side, ablation, pooling, seed
+):
+    # one community gives every community graph an empty spatial pool
+    ds = generate_synthetic(
+        SynthParams(n_regions=n_regions, grid_side=grid_side, communities=communities, seed=seed)
+    )
+    ids = ds.region_ids
+    stats = fit_normalization(ds, ids)
+    config = CFG.with_overrides(ablation=ablation, pooling=pooling)
+    prep = prepare_dataset(ds, stats, hops=config.layers)
+    model = EmissionModel(config, stats)
+    cache = refresh_region_cache(model, prep, 0) if model.use_region else None
+    targets = Tensor(np.array([prep.regions[r].label_norm for r in ids]).reshape(-1, 1))
+    loss = mse_loss(model.predict_batch(prep, ids, cache), targets)
+    backward(loss)
+    assert np.isfinite(loss.values[0, 0])
+    for p in model.parameters():
+        assert p.grad is not None and np.isfinite(p.grad).all(), p.name
