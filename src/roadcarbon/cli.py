@@ -269,9 +269,8 @@ def cmd_dump_attention(args) -> int:
                 model.predict_region(prepared, region_id, cache, record)
                 row = {key: "" for key in header}
                 row["region_id"] = region_id
-                for site, rows in (
-                    ("community", slice(None)), ("region", record.region_target_rows)
-                ):
+                # the region union's row 0 is the target (rows in hop order)
+                for site, rows in (("community", slice(None)), ("region", [0])):
                     for tag, value in _mean_beta(getattr(record, site), rows).items():
                         row[f"beta_{tag}_{site}"] = _fmt(value)
                 if record.final is not None:

@@ -26,6 +26,8 @@ class ConfigError(ValueError):
 
 # the JSON types each annotated field type accepts; a bool is not an int
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# the parser of each annotated field type's key=value text
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
 
 
 @dataclass
@@ -139,14 +141,8 @@ class RunConfig:
             text = text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = known[key]
             try:
-                if kind in (int, "int"):
-                    data[key] = int(text)
-                elif kind in (float, "float"):
-                    data[key] = float(text)
-                else:
-                    data[key] = text
+                data[key] = _FIELD_PARSERS[known[key]](text)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {text!r}")
         return RunConfig(**data)

@@ -49,7 +49,7 @@ from .layers import (
     stack_hetero,
 )
 from .optim import Parameter, check_unique_names, xavier_uniform, zeros
-from .tensor import Tensor, add, gather_rows, leaky_relu, matmul, no_grad, vstack
+from .tensor import Tensor, add, leaky_relu, matmul, no_grad, row_prefix, vstack
 
 # v2: no arc updater on a stack's last layer when unread;
 # v3: parameter values as base64 of their little-endian float64 bytes
@@ -235,8 +235,8 @@ class RegionEgo:
     in-neighborhood, and every node at distance k keeps its full incoming
     arc set whenever its row is consumed (k <= hops - layer).  Of a
     depth-L stack, layer l reads only the arcs into nodes within
-    ``L - 1 - l`` hops; ``EgoUnion`` orders the arcs so that these are a
-    prefix.
+    ``L - 1 - l`` hops; ``EgoUnion`` orders the rows and arcs so that
+    these are a prefix of each.
     """
 
     nodes: np.ndarray  # global region indices, sorted
@@ -251,19 +251,20 @@ class RegionEgo:
 
 @dataclass
 class EgoUnion:
-    """Disjoint union of target egos; ``target_rows[j]`` is target j's row
-    and ``nodes`` the global region index of every row.
+    """Disjoint union of target egos with its rows in hop order, targets
+    first; ``nodes`` is the global region index of every row.
 
-    Each arc type is sorted stably by its destination's hop distance to
-    that ego's target, so a destination's arcs keep their order.  Layer l
-    of the stack reads the prefix of ``layer_arcs[tag][l]`` arcs of type
-    ``tag`` (``rn`` spatial, ``od`` OD): the arcs into rows within
-    ``depth - 1 - l`` hops, the only rows a later layer reads.  Arcs into
-    rows farther out feed no layer and are left out.
+    Rows are sorted stably by their hop distance to their ego's target, so
+    row j is target j and the rows within any number of hops form a
+    prefix.  Each arc type is sorted stably by its destination's distance,
+    so a destination's arcs keep their order.  Layer l of the stack reads
+    the prefix of ``layer_arcs[tag][l]`` arcs of type ``tag`` (``rn``
+    spatial, ``od`` OD): the arcs into the rows within ``depth - 1 - l``
+    hops, the only rows a later layer reads.  Arcs into rows farther out
+    feed no layer and are left out.
     """
 
     nodes: np.ndarray
-    target_rows: np.ndarray
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
     spatial_feats: Tensor
@@ -325,8 +326,9 @@ def _hop_distances(n: int, roots: np.ndarray, src: np.ndarray, dst: np.ndarray, 
 
 
 def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
-    """The disjoint union of target egos, in order, with each arc type
-    ordered for a ``depth``-layer stack (see ``EgoUnion``)."""
+    """The disjoint union of target egos, targets first in order, with its
+    rows and each arc type ordered for a ``depth``-layer stack (see
+    ``EgoUnion``)."""
     sizes = [e.nodes.size for e in egos]
     offsets = np.cumsum([0] + sizes[:-1])
     target_rows = offsets + np.array([e.target_local for e in egos], dtype=np.int64)
@@ -341,6 +343,11 @@ def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
         np.concatenate([spatial_dst, od_dst]),
         depth - 1,
     )
+    # rows in hop order: each target is the only row at distance 0 in its ego
+    rows = np.argsort(dist, kind="stable")
+    renumber = np.empty_like(rows)
+    renumber[rows] = np.arange(rows.size)
+    dist = dist[rows]
     # layer l reads the arcs into rows at most depth - 1 - l hops away
     reach = np.arange(depth - 1, -1, -1)
 
@@ -351,11 +358,12 @@ def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
         counts = np.searchsorted(dist[dst[order]], reach, side="right")
         return order[: counts[0]], counts.tolist()
 
+    spatial_src, spatial_dst = renumber[spatial_src], renumber[spatial_dst]
+    od_src, od_dst = renumber[od_src], renumber[od_dst]
     sp_order, rn_read = by_distance(spatial_dst)
     od_order, od_read = by_distance(od_dst)
     return EgoUnion(
-        nodes=np.concatenate([e.nodes for e in egos]),
-        target_rows=target_rows,
+        nodes=np.concatenate([e.nodes for e in egos])[rows],
         spatial_src=spatial_src[sp_order],
         spatial_dst=spatial_dst[sp_order],
         spatial_feats=Tensor(_stacked([e.spatial_feats for e in egos]).values[sp_order]),
@@ -553,11 +561,11 @@ class RegionCache:
 @dataclass
 class ForwardRecord:
     """Attention weights collected along one prediction call; each layer
-    record covers every row of that call's unions."""
+    record covers every row of that call's unions.  The region records'
+    rows are in the ego union's hop order, so row j is target j."""
 
     community: list[HeteroLayerRecord] = field(default_factory=list)
     region: list[HeteroLayerRecord] = field(default_factory=list)
-    region_target_rows: np.ndarray | None = None  # the targets' rows in the ego union
     final: AttentionRecord | None = None
 
 
@@ -747,11 +755,13 @@ class EmissionModel:
 
         Evaluated on the disjoint union of the targets' precomputed
         receptive-field subgraphs, which reproduces each full-graph target
-        row exactly.  Layer l runs only on the arcs into rows within
-        ``depth - 1 - l`` hops of their target, an arc prefix per type (see
-        ``EgoUnion``); the rows past it are computed but never read.  Every
-        row except a target's own is a cache constant, another batch
-        target's row inside an ego included; only the live rows carry
+        row exactly.  The union's rows are in hop order, targets first (see
+        ``EgoUnion``), so the live rows sit above the cached ones and the
+        output is the first ``len(region_ids)`` rows.  Layer l runs only on
+        the arcs into rows within ``depth - 1 - l`` hops of their target,
+        an arc prefix per type; the rows past it are computed but never
+        read.  Every row except a target's own is a cache constant, another
+        batch target's row inside an ego included; only the live rows carry
         gradient.
         """
         for region_id in region_ids:
@@ -764,20 +774,16 @@ class EmissionModel:
             )
         union = _union_egos([prepared.egos[r] for r in region_ids], len(self.region_layers))
         ids = prepared.region_ids
-        n_rows = union.nodes.size
-        cached = np.concatenate([cache.reps[ids[g]] for g in union.nodes.tolist()], axis=0)
-        # row n_rows + j of the stacked matrix is target j's live row
-        take = np.arange(n_rows)
-        take[union.target_rows] = n_rows + np.arange(len(region_ids))
-        node_feats = gather_rows(vstack([Tensor(cached), live_intra]), take)
+        targets = len(region_ids)
+        # the rows past the targets, none when every ego is its target alone
+        cached = np.array([cache.reps[ids[g]][0] for g in union.nodes[targets:].tolist()])
+        node_feats = vstack([live_intra, Tensor(cached.reshape(-1, live_intra.shape[1]))])
         level = (self.region_od_embed, self.region_layers, self.region_fusion)
         v_out = self._hetero_forward(
             node_feats, union, union.spatial_feats, level,
             None if record is None else record.region, union.layer_arcs,
         )
-        if record is not None:
-            record.region_target_rows = union.target_rows
-        return gather_rows(v_out, union.target_rows)
+        return row_prefix(v_out, targets)
 
     def _head_forward(self, x: Tensor) -> Tensor:
         hidden = leaky_relu(

@@ -249,12 +249,10 @@ def oracle_emission(
     totals = {region: 0.0 for region in road_graphs}
 
     rep_of_community: dict[str, int] = {}
-    members_of_region: dict[str, dict[str, list[int]]] = {}
     for region, graph in road_graphs.items():
         members: dict[str, list[int]] = {}
         for i, node_id in enumerate(graph.node_ids):
             members.setdefault(hierarchy.node_to_community[node_id], []).append(i)
-        members_of_region[region] = members
         for community, idx in members.items():
             xy = graph.node_xy[idx]
             centroid = xy.mean(axis=0)

@@ -22,7 +22,10 @@ groups: row i is ``sum_a w[a] H[src[a]]`` over the arcs a into i, with no
 arc-count matrix kept for backward.  Attention aggregation, sum and mean
 pooling between hierarchy levels, and the per-node fusion of typed outputs
 are all ``attend`` calls; ``segment_max`` is the max pooling and
-``segment_softmax`` normalises scores within groups.
+``segment_softmax`` normalises scores within groups.  There is no row
+gather: the region level's ego union lists its rows in hop order, targets
+first, so ``row_prefix`` takes the targets' rows, and a gather elsewhere is
+``attend`` with unit weights.
 
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
@@ -177,66 +180,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_values, (a, b), backward_fn, "add")
 
 
-def hstack(tensors: list[Tensor]) -> Tensor:
-    """Column-wise concatenation of tensors sharing the same row count."""
+def _concat(tensors: list[Tensor], axis: int, op: str, kept: str) -> Tensor:
+    """Concatenation along ``axis`` of tensors that agree on the other
+    axis; ``kept`` names that axis in the mismatch error."""
     if not tensors:
-        raise ValueError("hstack of zero tensors")
+        raise ValueError(f"{op} of zero tensors")
     if len(tensors) == 1:
         return tensors[0]
-    rows = tensors[0].shape[0]
-    for t in tensors[1:]:
-        if t.shape[0] != rows:
-            raise ValueError(
-                f"hstack row-count mismatch: {[t.shape for t in tensors]}"
-            )
-    widths = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
-    out_values = np.concatenate([t.values for t in tensors], axis=1)
+    if len({t.shape[1 - axis] for t in tensors}) > 1:
+        raise ValueError(f"{op} {kept}-count mismatch: {[t.shape for t in tensors]}")
+    splits = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    out_values = np.concatenate([t.values for t in tensors], axis=axis)
 
     def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, part in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
-                t.accumulate_grad(g[:, lo:hi])
+                t.accumulate_grad(part)
 
-    return _result(out_values, tuple(tensors), backward_fn, "hstack")
+    return _result(out_values, tuple(tensors), backward_fn, op)
+
+
+def hstack(tensors: list[Tensor]) -> Tensor:
+    """Column-wise concatenation of tensors sharing the same row count."""
+    return _concat(tensors, 1, "hstack", "row")
 
 
 def vstack(tensors: list[Tensor]) -> Tensor:
     """Row-wise concatenation of tensors sharing the same column count."""
-    if not tensors:
-        raise ValueError("vstack of zero tensors")
-    if len(tensors) == 1:
-        return tensors[0]
-    cols = tensors[0].shape[1]
-    for t in tensors[1:]:
-        if t.shape[1] != cols:
-            raise ValueError(
-                f"vstack column-count mismatch: {[t.shape for t in tensors]}"
-            )
-    heights = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + heights)
-    out_values = np.concatenate([t.values for t in tensors], axis=0)
-
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t.accumulate_grad(g[lo:hi])
-
-    return _result(out_values, tuple(tensors), backward_fn, "vstack")
-
-
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """Select rows of ``x`` by index, duplicates allowed; backward scatter-adds."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ValueError(f"gather_rows index out of range for {x.shape[0]} rows")
-    out_values = x.values[idx]
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(_segment_sum_np(g, idx, x.shape[0]))
-
-    return _result(out_values, (x,), backward_fn, "gather_rows")
+    return _concat(tensors, 0, "vstack", "column")
 
 
 def row_prefix(x: Tensor, k: int) -> Tensor:

@@ -3,7 +3,7 @@ and the entry-sum loss the gradient tests share."""
 
 import numpy as np
 
-from roadcarbon.tensor import Tensor, matmul
+from roadcarbon.tensor import Tensor, attend, matmul
 
 
 def dense_egat_reference(V, E, src, dst, params, slope=0.2):
@@ -52,6 +52,13 @@ def random_arc_graph(rng, n, d_in=3, d_e=2):
     dst = (src + 1 + rng.integers(0, n - 1, size=m)) % n
     E = rng.normal(size=(m, d_e))
     return V, E, src, dst
+
+
+def gather(x, idx):
+    """Rows ``x[idx]``, repeats allowed, as ``attend`` with unit weights:
+    one arc per gathered row, so backward scatter-adds to the source rows."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return attend(x, Tensor(np.ones((idx.size, 1))), idx, np.arange(idx.size), idx.size)
 
 
 def entry_sum(x):

@@ -8,6 +8,8 @@ import pytest
 from roadcarbon import cli
 from roadcarbon.cli import main
 from roadcarbon.config import ConfigError, RunConfig
+from roadcarbon.layers import stack_hetero
+from roadcarbon.tensor import Tensor, add, matmul, no_grad
 
 
 def run_cli(*argv):
@@ -94,6 +96,32 @@ def test_dump_attention_weights_normalized(workspace, tmp_path):
             total = float(row[f"beta_rn_{site}"]) + float(row[f"beta_od_{site}"])
             assert abs(total - 1.0) < 1e-9
         assert abs(float(row["beta_intra"]) + float(row["beta_inter"]) - 1.0) < 1e-9
+
+
+def test_dump_attention_reads_each_target_row(workspace, tmp_path):
+    # at a fresh cache every region's row holds its live vector, so the stack
+    # run on the whole region graph gives each region's fusion weights
+    root, data, _ = workspace
+    checkpoint = root / "run" / "checkpoint.json"
+    out = tmp_path / "att.csv"
+    assert run_cli("dump-attention", "--checkpoint", checkpoint, "--data", data, "--out", out) == 0
+    dumped = {row["region_id"]: row for row in csv.DictReader(open(out))}
+    model, _, prepared, cache = cli._load_for_inference(checkpoint, data)
+    embed_w, embed_b = model.region_od_embed
+    typed = [
+        ("rn", prepared.region_spatial_src, prepared.region_spatial_dst,
+         prepared.region_spatial_feats),
+        ("od", prepared.region_od_src, prepared.region_od_dst,
+         add(matmul(prepared.region_od_zflow, embed_w.tensor), embed_b.tensor)),
+    ]
+    V = Tensor(np.concatenate([cache.reps[r] for r in prepared.region_ids]))
+    with no_grad():
+        _, records = stack_hetero(V, typed, model.region_layers, model.region_fusion)
+    beta = np.mean([rec.fusion.beta for rec in records], axis=0)
+    for i, region_id in enumerate(prepared.region_ids):
+        for j, tag in enumerate(records[0].fusion.tags):
+            got = float(dumped[region_id][f"beta_{tag}_region"])
+            assert abs(got - beta[i, j]) <= 1e-12, (region_id, tag, got, beta[i, j])
 
 
 def test_train_reproducible_byte_for_byte(workspace, tmp_path):

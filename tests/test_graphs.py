@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_impl import gather
 
 from roadcarbon.graphs import (
     EDGE_FEATURE_DIM,
@@ -17,7 +18,7 @@ from roadcarbon.graphs import (
     road_class_index,
 )
 from roadcarbon.optim import Parameter, finite_difference_check
-from roadcarbon.tensor import Tensor, backward, gather_rows, mse_loss, vstack
+from roadcarbon.tensor import Tensor, backward, mse_loss, vstack
 
 
 def seg(u, v, length=1.0, cls="primary", lon=0.5, lat=0.5):
@@ -232,8 +233,8 @@ def pool_cross(phi, edge_reps, arc_src, arc_dst, groups):
     _, members = brute_force_crossings(list(arc_src), list(arc_dst), list(groups))
     idx = [k for arcs in members for k in arcs]
     pair = [p for p, arcs in enumerate(members) for _ in arcs]
-    pooled = pool_nodes(phi, gather_rows(edge_reps, idx), pair, len(members))
-    return gather_rows(pooled, np.repeat(np.arange(len(members)), 2))
+    pooled = pool_nodes(phi, gather(edge_reps, idx), pair, len(members))
+    return gather(pooled, np.repeat(np.arange(len(members)), 2))
 
 
 def spatial_pool(phi, edge_reps, arc_src, arc_dst, groups):

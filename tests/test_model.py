@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import entry_sum
+from reference_impl import entry_sum, gather
 
 from roadcarbon import graphs
 from roadcarbon import model as model_module
@@ -32,7 +32,6 @@ from roadcarbon.synth import SynthParams, generate_synthetic
 from roadcarbon.tensor import (
     Tensor,
     backward,
-    gather_rows,
     mse_loss,
     no_grad,
     segment_max,
@@ -717,7 +716,7 @@ def test_max_pooling_records_as_many_nodes_as_sum_and_mean(monkeypatch):
     def gather_then_max(phi, rows, src, dst, n):
         if phi != "max":
             return pool(phi, rows, src, dst, n)
-        return segment_max(gather_rows(rows, src), dst, n)
+        return segment_max(gather(rows, src), dst, n)
 
     monkeypatch.setattr(graphs, "pool", gather_then_max)
     monkeypatch.setattr(model_module, "pool", gather_then_max)
@@ -744,6 +743,31 @@ def region_world():
     rng = np.random.default_rng(13)
     cache = RegionCache(epoch=0, reps={r: rng.normal(size=(1, 8)) for r in prep.region_ids})
     return stats, prep, cache
+
+
+def test_lone_region_ego_is_its_live_row_alone():
+    # no cached rows: the union is the target's live row and no arcs
+    ds = generate_synthetic(SynthParams(n_regions=1, seed=4, grid_side=3))
+    stats = fit_normalization(ds, ds.region_ids)
+    prep = prepare_dataset(ds, stats)
+    (region_id,) = ds.region_ids
+    assert prep.egos[region_id].nodes.size == 1
+    assert prep.region_spatial_src.size == prep.region_od_src.size == 0
+    model = EmissionModel(RunConfig(hidden=8), stats)
+    cache = refresh_region_cache(model, prep, 0)
+    live = Tensor(cache.reps[region_id], requires_grad=True)
+    inter = model.inter_representation(prep, [region_id], live, cache)
+    typed = [
+        ("rn", prep.region_spatial_src, prep.region_spatial_dst, prep.region_spatial_feats),
+        ("od", prep.region_od_src, prep.region_od_dst, Tensor(np.zeros((0, 8)))),
+    ]
+    with no_grad():
+        full, _ = stack_hetero(
+            Tensor(cache.reps[region_id]), typed, model.region_layers, model.region_fusion
+        )
+    assert np.array_equal(inter.values, full.values)
+    backward(entry_sum(inter))
+    assert np.abs(live.grad).max() > 0
 
 
 @pytest.mark.parametrize("depth", (2, 3, 4))
@@ -816,9 +840,11 @@ def test_removing_an_od_arc_into_the_target_changes_its_prediction(region_world,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tags, seed):
-    """On a random region graph, the ego union's per-layer arc prefixes give
-    the targets' rows and the parameter gradients of the unpruned stack on
-    the same union, and the rows of the stack run on the whole graph."""
+    """On a random region graph, the ego union lists its targets first and
+    its rows in hop order, each layer's arc prefix is the arcs into that
+    layer's row prefix, and the prefixes give the targets' rows and the
+    parameter gradients of the unpruned stack on the same union, and the
+    rows of the stack run on the whole graph."""
     rng = np.random.default_rng(seed)
     ids = [f"r{i}" for i in range(n)]
     index = {r: i for i, r in enumerate(ids)}
@@ -835,6 +861,24 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
     )
     targets = [ids[i] for i in rng.permutation(n)[: rng.integers(1, n + 1)]]
     union = model_module._union_egos([egos[t] for t in targets], depth)
+    B = len(targets)
+    assert union.nodes[:B].tolist() == [index[t] for t in targets]
+
+    # each row's hop distance to its target, capped at depth, by breadth-first search
+    src = np.concatenate([union.spatial_src, union.od_src])
+    dst = np.concatenate([union.spatial_dst, union.od_dst])
+    dist = np.full(union.nodes.size, depth)
+    dist[:B] = 0
+    frontier = list(range(B))
+    for k in range(1, depth):
+        frontier = [s for s, t in zip(src, dst) if t in frontier and dist[s] > k]
+        dist[frontier] = k
+    assert (np.diff(dist) >= 0).all(), dist
+    for l in range(depth):
+        prefix = np.count_nonzero(dist <= depth - 1 - l)
+        for tag, arc_dst in (("rn", union.spatial_dst), ("od", union.od_dst)):
+            read = union.layer_arcs[tag][l]
+            assert (arc_dst[:read] < prefix).all() and (arc_dst[read:] >= prefix).all(), (tag, l)
 
     d = 3
     d_e = {"rn": 1, "od": 1}
@@ -867,13 +911,13 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
         for p in params:
             p.tensor.grad = None
         out, _ = stack_hetero(V, arcs, layers, fusion, layer_arcs)
-        picked = gather_rows(out, rows)
+        picked = gather(out, rows)
         backward(mse_loss(picked, upstream))
         return picked.values, [p.grad for p in params]
 
     V = Tensor(X[union.nodes])
-    got, got_grads = rows_and_grads(V, union_arcs, union.target_rows, union.layer_arcs)
-    want, want_grads = rows_and_grads(V, union_arcs, union.target_rows)
+    got, got_grads = rows_and_grads(V, union_arcs, np.arange(B), union.layer_arcs)
+    want, want_grads = rows_and_grads(V, union_arcs, np.arange(B))
     full, _ = rows_and_grads(
         Tensor(X),
         typed(

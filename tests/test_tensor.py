@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import entry_sum
+from reference_impl import entry_sum, gather
 
 from roadcarbon import tensor as T
 from roadcarbon.optim import Parameter, finite_difference_check
@@ -291,7 +291,7 @@ def test_segment_max_of_source_rows_matches_gather_then_max(case, seed):
         lambda x, s, n: T.segment_max(x, s, n, src), vals, seg, n_seg, target
     )
     want, want_grad, _ = _value_and_grad(
-        lambda x, s, n: T.segment_max(T.gather_rows(x, src), s, n), vals, seg, n_seg, target
+        lambda x, s, n: T.segment_max(gather(x, src), s, n), vals, seg, n_seg, target
     )
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(grad, want_grad, equal_nan=True)
@@ -331,20 +331,6 @@ def test_segment_softmax_property_matches_per_segment_loop(case):
 def test_segment_softmax_zero_rows_errors():
     with pytest.raises(ValueError, match="no scores"):
         T.segment_softmax(Tensor(np.zeros((0, 1))), np.zeros(0, dtype=int), 3)
-
-
-def test_gather_rows_forward_and_grad():
-    x = param(np.arange(6.0).reshape(3, 2), "x")
-    out = T.gather_rows(x.tensor, [2, 0, 2])
-    assert np.array_equal(out.values, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
-    err = finite_difference_check(lambda: entry_sum(T.gather_rows(x.tensor, [2, 0, 2])), [x])
-    assert err < 1e-6
-    # no rows: a float64 (0, 2) output and a float64 zero gradient
-    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.gather_rows(x, [])
-    backward(mse_with_upstream(out, np.zeros((0, 2)))[0])
-    assert out.values.dtype == x.grad.dtype == np.float64
-    assert out.shape == (0, 2) and np.array_equal(x.grad, np.zeros((3, 2)))
 
 
 def test_row_prefix_forward_and_grad():
