@@ -135,16 +135,21 @@ def egat_layer(
     arc_dst,
     params: EgatParams,
     arcs_out: int | None = None,
+    rows_out: int | None = None,
 ) -> tuple[Tensor, Tensor | None, AttentionRecord]:
     """One convolution: returns updated nodes, updated arcs (None without an
     arc updater), attention record.
 
-    The arc update covers the first ``arcs_out`` arcs, all of them by
-    default: the arcs the next layer reads.  A graph without arcs takes the
-    same path with zero-row arc tensors, so every parameter of the layer
-    still receives a (zero) gradient.
+    The node output covers the first ``rows_out`` rows of ``V``, all of
+    them by default: the rows the next layer reads.  Every arc must point
+    into them; ``V`` still serves as the sources, and only those rows get
+    self-loops.  The arc update covers the first ``arcs_out`` arcs, all of
+    them by default: the arcs the next layer reads.  A graph without arcs
+    takes the same path with zero-row arc tensors, so every parameter of the
+    layer still receives a (zero) gradient.
     """
-    n = V.shape[0]
+    n_in = V.shape[0]
+    n = n_in if rows_out is None else rows_out
     src = np.asarray(arc_src, dtype=np.int64)
     dst = np.asarray(arc_dst, dtype=np.int64)
     m, d_e = src.shape[0], params.d_e
@@ -152,6 +157,8 @@ def egat_layer(
         raise ValueError(f"node width {V.shape[1]} does not match layer d_in {params.d_in}")
     if E.shape != (m, d_e):
         raise ValueError(f"arc features {E.shape} do not match {m} arcs of width {d_e}")
+    if not 0 <= n <= n_in:
+        raise ValueError(f"rows_out {n} is not within the {n_in} rows of V")
 
     loops = np.arange(n, dtype=np.int64)
     full_src = np.concatenate([src, loops])
@@ -230,7 +237,7 @@ def stack_hetero(
     typed_arcs: list[tuple[str, np.ndarray, np.ndarray, Tensor]],
     layer_params: list[dict[str, EgatParams]],
     fusion: FusionParams | None,
-    layer_arcs: dict[str, list[int]] | None = None,
+    prefixes: dict[str, list[int]] | None = None,
 ) -> tuple[Tensor, list[HeteroLayerRecord]]:
     """Sequential heterogeneous layers over ``typed_arcs`` entries
     (tag, src, dst, arc_feats).
@@ -241,19 +248,24 @@ def stack_hetero(
     single surviving type (ablated graphs) fusion passes that type through
     with weight one everywhere.  Only the last layer may lack arc updaters.
 
-    Layer l reads the first ``layer_arcs[tag][l]`` arcs of each type, and
-    each layer's arc update computes only the arcs the next layer reads, so
-    the counts may only fall with depth.  Without ``layer_arcs`` every layer
-    reads every arc.  A caller that reads only some output rows orders each
-    type's arcs by how many hops their destination lies from those rows:
-    layer l then needs only the arcs into rows within ``depth - 1 - l``
-    hops, and the rows the caller reads equal those without prefixes.
+    Without ``prefixes`` every layer reads every arc and outputs every row.
+    With them, layer l outputs the first ``prefixes["rows"][l]`` rows and
+    reads the first ``prefixes[tag][l]`` arcs of each type, which must all
+    point into those rows; each layer's arc update computes only the arcs
+    the next layer reads, so the counts may only fall with depth.  A caller
+    that reads only some output rows lists them first and orders the rows
+    and each type's arcs by how many hops their row, or their destination,
+    lies from those rows: layer l then needs only the rows within
+    ``depth - 1 - l`` hops and the arcs into them, the last layer outputs
+    exactly the rows the caller reads, and they equal those without
+    prefixes.
     """
     if not layer_params:
         raise ValueError("stack_hetero needs at least one layer")
     depth = len(layer_params)
+    rows = prefixes["rows"] if prefixes else [V.shape[0]] * depth
     counts = {
-        tag: layer_arcs[tag] if layer_arcs else [len(src)] * depth
+        tag: prefixes[tag] if prefixes else [len(src)] * depth
         for tag, src, _, _ in typed_arcs
     }
     feats = {tag: row_prefix(f, counts[tag][0]) for tag, _, _, f in typed_arcs}
@@ -265,7 +277,7 @@ def stack_hetero(
             k = counts[tag][layer]
             arcs_out = counts[tag][layer + 1] if layer + 1 < depth else None
             v_out, feats[tag], per_type[tag] = egat_layer(
-                V, feats[tag], src[:k], dst[:k], params_by_tag[tag], arcs_out
+                V, feats[tag], src[:k], dst[:k], params_by_tag[tag], arcs_out, rows[layer]
             )
             outs.append((tag, v_out))
         if len(outs) == 1:

@@ -49,7 +49,7 @@ from .layers import (
     stack_hetero,
 )
 from .optim import Parameter, check_unique_names, xavier_uniform, zeros
-from .tensor import Tensor, add, leaky_relu, matmul, no_grad, row_prefix, vstack
+from .tensor import Tensor, add, leaky_relu, matmul, no_grad, vstack
 
 # v2: no arc updater on a stack's last layer when unread;
 # v3: parameter values as base64 of their little-endian float64 bytes
@@ -257,11 +257,12 @@ class EgoUnion:
     Rows are sorted stably by their hop distance to their ego's target, so
     row j is target j and the rows within any number of hops form a
     prefix.  Each arc type is sorted stably by its destination's distance,
-    so a destination's arcs keep their order.  Layer l of the stack reads
-    the prefix of ``layer_arcs[tag][l]`` arcs of type ``tag`` (``rn``
-    spatial, ``od`` OD): the arcs into the rows within ``depth - 1 - l``
-    hops, the only rows a later layer reads.  Arcs into rows farther out
-    feed no layer and are left out.
+    so a destination's arcs keep their order.  Layer l of the stack outputs
+    the first ``layer_rows[l]`` rows, those within ``depth - 1 - l`` hops,
+    the only rows a later layer reads; the last layer's are the targets.
+    It reads the prefix of ``layer_arcs[tag][l]`` arcs of type ``tag``
+    (``rn`` spatial, ``od`` OD): the arcs into those rows.  Arcs into rows
+    farther out feed no layer and are left out.
     """
 
     nodes: np.ndarray
@@ -271,7 +272,13 @@ class EgoUnion:
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
+    layer_rows: list[int]
     layer_arcs: dict[str, list[int]]
+
+    @property
+    def prefixes(self) -> dict[str, list[int]]:
+        """``stack_hetero``'s per-layer row and arc prefixes."""
+        return {"rows": self.layer_rows, **self.layer_arcs}
 
 
 def _shifted(parts: list[np.ndarray], sizes: list[int]) -> np.ndarray:
@@ -348,7 +355,8 @@ def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
     renumber = np.empty_like(rows)
     renumber[rows] = np.arange(rows.size)
     dist = dist[rows]
-    # layer l reads the arcs into rows at most depth - 1 - l hops away
+    # layer l outputs the rows at most depth - 1 - l hops away, from the
+    # arcs into them
     reach = np.arange(depth - 1, -1, -1)
 
     def by_distance(dst: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -370,6 +378,7 @@ def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
         od_src=od_src[od_order],
         od_dst=od_dst[od_order],
         od_zflow=Tensor(_stacked([e.od_zflow for e in egos]).values[od_order]),
+        layer_rows=np.searchsorted(dist, reach, side="right").tolist(),
         layer_arcs={"rn": rn_read, "od": od_read},
     )
 
@@ -560,9 +569,11 @@ class RegionCache:
 
 @dataclass
 class ForwardRecord:
-    """Attention weights collected along one prediction call; each layer
-    record covers every row of that call's unions.  The region records'
-    rows are in the ego union's hop order, so row j is target j."""
+    """Attention weights collected along one prediction call.  Each
+    community layer record covers every row of that call's unions; each
+    region layer record covers that layer's row prefix of the ego union,
+    in hop order, so row j is target j and the last layer's rows are the
+    targets."""
 
     community: list[HeteroLayerRecord] = field(default_factory=list)
     region: list[HeteroLayerRecord] = field(default_factory=list)
@@ -692,13 +703,13 @@ class EmissionModel:
         spatial_feats: Tensor | None,
         level: tuple,
         records: list[HeteroLayerRecord] | None,
-        layer_arcs: dict[str, list[int]] | None = None,
+        prefixes: dict[str, list[int]] | None = None,
     ) -> Tensor:
         """One heterogeneous level, (od_embed, layers, fusion), on node rows
         ``V`` of a community-graph union or of a region-level ego union.  OD
         arcs carry a linear lift of the z-scored log flows; layer records
-        extend ``records``.  ``layer_arcs`` is ``stack_hetero``'s per-layer
-        arc prefix, every arc by default."""
+        extend ``records``.  ``prefixes`` are ``stack_hetero``'s per-layer
+        row and arc prefixes, every row and arc by default."""
         od_embed, layers, fusion = level
         typed = []
         if self.use_spatial:
@@ -707,7 +718,7 @@ class EmissionModel:
             embed_w, embed_b = od_embed
             od_feats = add(matmul(graph.od_zflow, embed_w.tensor), embed_b.tensor)
             typed.append(("od", graph.od_src, graph.od_dst, od_feats))
-        v_out, layer_records = stack_hetero(V, typed, layers, fusion, layer_arcs)
+        v_out, layer_records = stack_hetero(V, typed, layers, fusion, prefixes)
         if records is not None:
             records.extend(layer_records)
         return v_out
@@ -756,17 +767,13 @@ class EmissionModel:
         Evaluated on the disjoint union of the targets' precomputed
         receptive-field subgraphs, which reproduces each full-graph target
         row exactly.  The union's rows are in hop order, targets first (see
-        ``EgoUnion``), so the live rows sit above the cached ones and the
-        output is the first ``len(region_ids)`` rows.  Layer l runs only on
-        the arcs into rows within ``depth - 1 - l`` hops of their target,
-        an arc prefix per type; the rows past it are computed but never
-        read.  Every row except a target's own is a cache constant, another
-        batch target's row inside an ego included; only the live rows carry
-        gradient.
+        ``EgoUnion``), so the live rows sit above the cached ones.  Layer l
+        outputs only the rows within ``depth - 1 - l`` hops of their target,
+        a row prefix, from the arcs into them, an arc prefix per type; the
+        last layer's rows are the targets'.  Every row except a target's own
+        is a cache constant, another batch target's row inside an ego
+        included; only the live rows carry gradient.
         """
-        for region_id in region_ids:
-            if region_id not in cache.reps:
-                raise ValueError(f"region {region_id} missing from cache (epoch {cache.epoch})")
         if prepared.ego_hops < len(self.region_layers):
             raise ValueError(
                 f"prepared data carved {prepared.ego_hops}-hop subgraphs but the "
@@ -775,15 +782,17 @@ class EmissionModel:
         union = _union_egos([prepared.egos[r] for r in region_ids], len(self.region_layers))
         ids = prepared.region_ids
         targets = len(region_ids)
+        for g in union.nodes.tolist():
+            if ids[g] not in cache.reps:
+                raise ValueError(f"region {ids[g]} missing from cache (epoch {cache.epoch})")
         # the rows past the targets, none when every ego is its target alone
         cached = np.array([cache.reps[ids[g]][0] for g in union.nodes[targets:].tolist()])
         node_feats = vstack([live_intra, Tensor(cached.reshape(-1, live_intra.shape[1]))])
         level = (self.region_od_embed, self.region_layers, self.region_fusion)
-        v_out = self._hetero_forward(
+        return self._hetero_forward(
             node_feats, union, union.spatial_feats, level,
-            None if record is None else record.region, union.layer_arcs,
+            None if record is None else record.region, union.prefixes,
         )
-        return row_prefix(v_out, targets)
 
     def _head_forward(self, x: Tensor) -> Tensor:
         hidden = leaky_relu(

@@ -24,8 +24,9 @@ pooling between hierarchy levels, and the per-node fusion of typed outputs
 are all ``attend`` calls; ``segment_max`` is the max pooling and
 ``segment_softmax`` normalises scores within groups.  There is no row
 gather: the region level's ego union lists its rows in hop order, targets
-first, so ``row_prefix`` takes the targets' rows, and a gather elsewhere is
-``attend`` with unit weights.
+first, so each region layer outputs a row prefix, ``row_prefix`` takes the
+arc features a layer reads, and a gather elsewhere is ``attend`` with unit
+weights.
 
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the

@@ -13,7 +13,7 @@ from roadcarbon.layers import (
     stack_hetero,
 )
 from roadcarbon.optim import finite_difference_check
-from roadcarbon.tensor import Tensor, backward, mse_loss
+from roadcarbon.tensor import Tensor, add, backward, mse_loss, row_prefix
 
 
 def make_params(prefix, d_in, d_e, d_out=None, d_att=4, seed=0):
@@ -122,6 +122,45 @@ def test_egat_dimension_mismatch():
     params = make_params("p", 3, 2)
     with pytest.raises(ValueError, match="d_in"):
         egat_layer(Tensor(np.zeros((2, 5))), Tensor(np.zeros((0, 2))), [], [], params)
+
+
+@pytest.mark.parametrize("k", (1, 4, 7, 12))
+def test_egat_row_prefix_equals_first_rows_of_full_call(k):
+    # every arc points into the first k rows; all n rows still serve as sources
+    rng = np.random.default_rng(30 + k)
+    n = 12
+    V, E, src, dst = random_arc_graph(rng, n)
+    into = dst < k
+    src, dst, E = src[into], dst[into], E[into]
+    assert src.size
+    params = make_params("p", 3, 2)
+    upstream = Tensor(rng.normal(size=(k, 3)))
+    arc_upstream = Tensor(rng.normal(size=(src.size, 2)))
+
+    def run(rows_out):
+        for p in params.parameters():
+            p.tensor.grad = None
+        Vt, Et = Tensor(V, requires_grad=True), Tensor(E, requires_grad=True)
+        v_out, e_out, rec = egat_layer(Vt, Et, src, dst, params, rows_out=rows_out)
+        rows = v_out if rows_out else row_prefix(v_out, k)
+        backward(add(mse_loss(rows, upstream), mse_loss(e_out, arc_upstream)))
+        grads = [Vt.grad, Et.grad] + [p.grad for p in params.parameters()]
+        return rows.values, e_out.values, rec, grads
+
+    got, got_arcs, rec, got_grads = run(k)
+    want, want_arcs, _, want_grads = run(None)
+    assert got.shape == (k, 3) and rec.arc_dst.max() == k - 1
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got_arcs - want_arcs).max() <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), 1.0)
+
+
+def test_egat_rejects_more_output_rows_than_nodes():
+    rng = np.random.default_rng(31)
+    V, E, src, dst = random_arc_graph(rng, 5)
+    with pytest.raises(ValueError, match="rows_out 6 is not within the 5 rows of V"):
+        egat_layer(Tensor(V), Tensor(E), src, dst, make_params("p", 3, 2), rows_out=6)
 
 
 def test_fusion_identical_inputs_is_identity_with_half_weights():

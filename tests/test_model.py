@@ -34,6 +34,7 @@ from roadcarbon.tensor import (
     backward,
     mse_loss,
     no_grad,
+    row_prefix,
     segment_max,
     toposort,
     vstack,
@@ -139,6 +140,19 @@ def test_inter_missing_cache_entry_errors(setting):
     rid = prep.region_ids[0]
     live = Tensor(np.zeros((1, SMALL.hidden)))
     with pytest.raises(ValueError, match="missing from cache"):
+        model.inter_representation(prep, [rid], live, cache)
+
+
+def test_inter_missing_neighbor_cache_entry_errors(setting):
+    # a cached row past the target raises the same error as the target's
+    _, _, model, prep = setting
+    rid = next(r for r in prep.region_ids if prep.egos[r].nodes.size > 1)
+    ego = prep.egos[rid]
+    neighbor = prep.region_ids[ego.nodes[ego.nodes != prep.region_index(rid)][-1]]
+    reps = {r: np.zeros((1, SMALL.hidden)) for r in prep.region_ids if r != neighbor}
+    cache = RegionCache(epoch=7, reps=reps)
+    live = Tensor(np.zeros((1, SMALL.hidden)))
+    with pytest.raises(ValueError, match=rf"region {neighbor} missing from cache \(epoch 7\)"):
         model.inter_representation(prep, [rid], live, cache)
 
 
@@ -780,9 +794,16 @@ def test_region_arc_prefixes_match_unpruned_stack(region_world, depth, monkeypat
     for tag, counts in union.layer_arcs.items():
         assert len(counts) == depth and counts == sorted(counts, reverse=True)
         assert counts[-1] < counts[0] < ego_arcs[tag], (tag, counts, ego_arcs[tag])
+    rows = union.layer_rows
+    assert len(rows) == depth and rows == sorted(rows, reverse=True)
+    assert rows[-1] == len(batch) < rows[0] < union.nodes.size, rows
 
-    def unpruned(V, typed, layers, fusion, layer_arcs=None):
-        return stack_hetero(V, typed, layers, fusion)
+    def unpruned(V, typed, layers, fusion, prefixes=None):
+        # every row and arc at every layer; the region level reads its targets
+        out, records = stack_hetero(V, typed, layers, fusion)
+        if prefixes:
+            out = row_prefix(out, prefixes["rows"][-1])
+        return out, records
 
     for ablation in REGION_ABLATIONS:
         config = RunConfig(hidden=8, layers=depth, layers_road=2, seed=3, ablation=ablation)
@@ -841,10 +862,11 @@ def test_removing_an_od_arc_into_the_target_changes_its_prediction(region_world,
 )
 def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tags, seed):
     """On a random region graph, the ego union lists its targets first and
-    its rows in hop order, each layer's arc prefix is the arcs into that
-    layer's row prefix, and the prefixes give the targets' rows and the
-    parameter gradients of the unpruned stack on the same union, and the
-    rows of the stack run on the whole graph."""
+    its rows in hop order, each layer's row prefix is the rows within
+    ``depth - 1 - l`` hops and its arc prefix the arcs into them, and the
+    prefixes give the targets' rows and the parameter gradients of the
+    unpruned stack on the same union, and the rows of the stack run on the
+    whole graph."""
     rng = np.random.default_rng(seed)
     ids = [f"r{i}" for i in range(n)]
     index = {r: i for i, r in enumerate(ids)}
@@ -874,8 +896,10 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
         frontier = [s for s, t in zip(src, dst) if t in frontier and dist[s] > k]
         dist[frontier] = k
     assert (np.diff(dist) >= 0).all(), dist
+    assert union.layer_rows[-1] == B
     for l in range(depth):
         prefix = np.count_nonzero(dist <= depth - 1 - l)
+        assert union.layer_rows[l] == prefix, (l, union.layer_rows)
         for tag, arc_dst in (("rn", union.spatial_dst), ("od", union.od_dst)):
             read = union.layer_arcs[tag][l]
             assert (arc_dst[:read] < prefix).all() and (arc_dst[read:] >= prefix).all(), (tag, l)
@@ -907,16 +931,16 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
         union.od_src, union.od_dst, union.od_zflow,
     )
 
-    def rows_and_grads(V, arcs, rows, layer_arcs=None):
+    def rows_and_grads(V, arcs, rows, prefixes=None):
         for p in params:
             p.tensor.grad = None
-        out, _ = stack_hetero(V, arcs, layers, fusion, layer_arcs)
+        out, _ = stack_hetero(V, arcs, layers, fusion, prefixes)
         picked = gather(out, rows)
         backward(mse_loss(picked, upstream))
         return picked.values, [p.grad for p in params]
 
     V = Tensor(X[union.nodes])
-    got, got_grads = rows_and_grads(V, union_arcs, np.arange(B), union.layer_arcs)
+    got, got_grads = rows_and_grads(V, union_arcs, np.arange(B), union.prefixes)
     want, want_grads = rows_and_grads(V, union_arcs, np.arange(B))
     full, _ = rows_and_grads(
         Tensor(X),
