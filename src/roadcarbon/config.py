@@ -130,6 +130,7 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         known = {f.name: f.type for f in fields(RunConfig)}
         data = {}
+        first_line = {}
         for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -141,6 +142,12 @@ class RunConfig:
             text = text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: repeated config key {key!r}, "
+                    f"first set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 data[key] = _FIELD_PARSERS[known[key]](text)
             except ValueError:

@@ -59,12 +59,11 @@ REGION_SPATIAL_FEAT_DIM = 1  # zero-vector stand-in; no cross-region segments ex
 
 # Road rows (nodes + arcs) of one intra union; a region that would push a
 # union past it starts the next one.  32 regions of 16 intersections (about
-# 54 rows each) fit in one union.  Interleaved one-epoch medians with the
-# node-side arc kernel, on the 200-region world of 16 intersections and on
-# 16 regions of 400: one region per union 1.93 s and 0.56 s; 2,048 rows
-# 1.33 s and 0.55 s; 8,192 rows 1.29 s and 0.54 s (both within the
-# quartile spread of 2,048); the whole batch in one union 1.29 s and 0.59 s,
-# as the 400-intersection arrays outgrow the CPU caches.
+# 54 rows each) fit in one union.  The bound is for memory: on 16 regions of
+# 400 intersections (the benchmark's large-regions world, one BLAS thread,
+# 4 interleaved 20 s runs each), the whole batch in one union raised peak
+# RSS from 142-143 MB to 170-176 MB, with one-epoch medians of 0.600 s at
+# 2,048 rows and 0.607 s in one union.
 UNION_ROW_BUDGET = 2048
 
 
@@ -228,18 +227,18 @@ class PreparedRegion(RegionUnion):
 
 @dataclass
 class RegionEgo:
-    """Induced subgraph of one target's L-hop in-neighborhood at region level.
+    """One target's ``hops``-hop in-neighborhood at region level, carved by
+    ``_carve`` in hop order: the target is row 0, and arcs into the
+    outermost ring, which no layer reads, are left out.
 
-    Running the region stack on this subgraph reproduces the target's output
-    row exactly: a node's value after layer l depends only on its l-hop
-    in-neighborhood, and every node at distance k keeps its full incoming
-    arc set whenever its row is consumed (k <= hops - layer).  Of a
-    depth-L stack, layer l reads only the arcs into nodes within
-    ``L - 1 - l`` hops; ``EgoUnion`` orders the rows and arcs so that
-    these are a prefix of each.
+    Running a stack at most ``hops`` deep on this subgraph reproduces the
+    target's output row exactly: a row's value after layer l depends only
+    on its l-hop in-neighborhood, and every row a layer outputs keeps its
+    whole incoming arc set.  ``_union_egos`` carves a batch of egos again
+    for the stack's own depth.
     """
 
-    nodes: np.ndarray  # global region indices, sorted
+    nodes: np.ndarray  # global region indices, in hop order, target first
     target_local: int
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
@@ -251,8 +250,8 @@ class RegionEgo:
 
 @dataclass
 class EgoUnion:
-    """Disjoint union of target egos with its rows in hop order, targets
-    first; ``nodes`` is the global region index of every row.
+    """Disjoint union of target egos carved for a ``depth``-layer stack, in
+    hop order, targets first; ``nodes`` is the global index of every row.
 
     Rows are sorted stably by their hop distance to their ego's target, so
     row j is target j and the rows within any number of hops form a
@@ -261,8 +260,9 @@ class EgoUnion:
     the first ``layer_rows[l]`` rows, those within ``depth - 1 - l`` hops,
     the only rows a later layer reads; the last layer's are the targets.
     It reads the prefix of ``layer_arcs[tag][l]`` arcs of type ``tag``
-    (``rn`` spatial, ``od`` OD): the arcs into those rows.  Arcs into rows
-    farther out feed no layer and are left out.
+    (``rn`` spatial, ``od`` OD): the arcs into those rows.  Rows and arcs
+    that feed no layer are left out, so an ego carved with ``hops ==
+    depth`` is its own one-ego union.
     """
 
     nodes: np.ndarray
@@ -320,66 +320,73 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
     )
 
 
-def _hop_distances(n: int, roots: np.ndarray, src: np.ndarray, dst: np.ndarray, hops: int):
-    """Each of ``n`` rows' distance in arcs to the nearest root along
-    ``src -> dst`` arcs, found in ``hops`` frontier steps; rows farther
-    away read ``hops + 1``."""
-    dist = np.full(n, hops + 1, dtype=np.int64)
+def _carve(n: int, roots: np.ndarray, spatial: tuple, od: tuple, depth: int) -> tuple:
+    """What a ``depth``-layer stack reads of an ``n``-row graph to compute
+    the rows of ``roots``, in hop order: ``(rows, arcs, layer_rows,
+    layer_arcs)``.
+
+    Hop distances to the nearest root along the ``(src, dst)`` arcs of
+    ``spatial`` and ``od`` take ``depth`` frontier steps.  ``rows`` are the
+    rows within ``depth`` hops, sorted stably by distance, roots first.
+    ``arcs[tag]`` (``rn`` spatial, ``od`` OD) holds the positions, and the
+    sources and destinations renumbered to ``rows``, of the arcs into rows
+    within ``depth - 1`` hops, sorted stably by destination distance.
+    Layer l outputs the first ``layer_rows[l]`` rows, those within
+    ``depth - 1 - l`` hops, from the first ``layer_arcs[tag][l]`` arcs.
+    """
+    src = np.concatenate([spatial[0], od[0]])
+    dst = np.concatenate([spatial[1], od[1]])
+    dist = np.full(n, depth + 1, dtype=np.int64)
     dist[roots] = 0
-    for k in range(hops):
+    for k in range(depth):
         reached = src[dist[dst] == k]
-        dist[reached[dist[reached] > k + 1]] = k + 1
-    return dist
+        dist[reached] = np.minimum(dist[reached], k + 1)
+
+    def hop_order(key: np.ndarray, bound: int) -> tuple[np.ndarray, list[int]]:
+        """The positions with ``key <= bound`` stably by key, and each layer's prefix."""
+        kept = np.flatnonzero(key <= bound)
+        kept = kept[np.argsort(key[kept], kind="stable")]
+        prefixes = np.searchsorted(key[kept], np.arange(depth - 1, -1, -1), side="right")
+        return kept, prefixes.tolist()
+
+    rows, layer_rows = hop_order(dist, depth)
+    renumber = np.empty(n, dtype=np.int64)
+    renumber[rows] = np.arange(rows.size)
+    arcs, layer_arcs = {}, {}
+    for tag, (s, d) in (("rn", spatial), ("od", od)):
+        kept, layer_arcs[tag] = hop_order(dist[d], depth - 1)
+        arcs[tag] = (kept, renumber[s[kept]], renumber[d[kept]])
+    return rows, arcs, layer_rows, layer_arcs
 
 
 def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
-    """The disjoint union of target egos, targets first in order, with its
-    rows and each arc type ordered for a ``depth``-layer stack (see
-    ``EgoUnion``)."""
+    """The disjoint union of target egos, targets first in order, carved
+    for a ``depth``-layer stack (see ``EgoUnion``); hop distances are
+    taken afresh, so an ego need only hold its target's ``depth``-hop
+    in-neighborhood."""
     sizes = [e.nodes.size for e in egos]
-    offsets = np.cumsum([0] + sizes[:-1])
-    target_rows = offsets + np.array([e.target_local for e in egos], dtype=np.int64)
-    spatial_src = _shifted([e.spatial_src for e in egos], sizes)
-    spatial_dst = _shifted([e.spatial_dst for e in egos], sizes)
-    od_src = _shifted([e.od_src for e in egos], sizes)
-    od_dst = _shifted([e.od_dst for e in egos], sizes)
-    dist = _hop_distances(
+
+    def shifted(field: str) -> np.ndarray:
+        return _shifted([getattr(e, field) for e in egos], sizes)
+
+    rows, arcs, layer_rows, layer_arcs = _carve(
         sum(sizes),
-        target_rows,
-        np.concatenate([spatial_src, od_src]),
-        np.concatenate([spatial_dst, od_dst]),
-        depth - 1,
+        _shifted([np.array([e.target_local]) for e in egos], sizes),
+        (shifted("spatial_src"), shifted("spatial_dst")),
+        (shifted("od_src"), shifted("od_dst")),
+        depth,
     )
-    # rows in hop order: each target is the only row at distance 0 in its ego
-    rows = np.argsort(dist, kind="stable")
-    renumber = np.empty_like(rows)
-    renumber[rows] = np.arange(rows.size)
-    dist = dist[rows]
-    # layer l outputs the rows at most depth - 1 - l hops away, from the
-    # arcs into them
-    reach = np.arange(depth - 1, -1, -1)
-
-    def by_distance(dst: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """The arcs some layer reads, in stable order of destination
-        distance, and each layer's prefix of them."""
-        order = np.argsort(dist[dst], kind="stable")
-        counts = np.searchsorted(dist[dst[order]], reach, side="right")
-        return order[: counts[0]], counts.tolist()
-
-    spatial_src, spatial_dst = renumber[spatial_src], renumber[spatial_dst]
-    od_src, od_dst = renumber[od_src], renumber[od_dst]
-    sp_order, rn_read = by_distance(spatial_dst)
-    od_order, od_read = by_distance(od_dst)
+    (sp_order, spatial_src, spatial_dst), (od_order, od_src, od_dst) = arcs["rn"], arcs["od"]
     return EgoUnion(
         nodes=np.concatenate([e.nodes for e in egos])[rows],
-        spatial_src=spatial_src[sp_order],
-        spatial_dst=spatial_dst[sp_order],
+        spatial_src=spatial_src,
+        spatial_dst=spatial_dst,
         spatial_feats=Tensor(_stacked([e.spatial_feats for e in egos]).values[sp_order]),
-        od_src=od_src[od_order],
-        od_dst=od_dst[od_order],
+        od_src=od_src,
+        od_dst=od_dst,
         od_zflow=Tensor(_stacked([e.od_zflow for e in egos]).values[od_order]),
-        layer_rows=np.searchsorted(dist, reach, side="right").tolist(),
-        layer_arcs={"rn": rn_read, "od": od_read},
+        layer_rows=layer_rows,
+        layer_arcs=layer_arcs,
     )
 
 
@@ -427,9 +434,11 @@ def prepare_dataset(
     """Z-score features once, freeze them as constant tensors, and derive the
     static typed-arc structure of every heterogeneous graph.
 
-    ``hops`` bounds the region-level receptive field used to carve per-target
-    ego subgraphs; it must be at least the configured stack depth (the
-    default covers every allowed depth).
+    ``hops`` bounds the region-level receptive field: each region's ego holds
+    its ``hops``-hop in-neighborhood and the arcs a ``hops``-layer stack
+    reads (see ``RegionEgo``).  It must be at least the region stack's
+    depth; the default covers every allowed depth, and at ``hops`` equal to
+    the depth each ego is already its own one-target union.
     """
     by_region_od: dict[str, list[ODFlow]] = {r: [] for r in dataset.region_ids}
     region_of = dataset.hierarchy.community_to_region
@@ -508,44 +517,22 @@ def _build_region_egos(
     od_zflow: np.ndarray,
     hops: int,
 ) -> dict[str, RegionEgo]:
-    n = len(region_ids)
-    all_src = np.concatenate([spatial_src, od_src])
-    all_dst = np.concatenate([spatial_dst, od_dst])
-    in_neighbors: list[list[int]] = [[] for _ in range(n)]
-    for s, d in zip(all_src.tolist(), all_dst.tolist()):
-        in_neighbors[d].append(s)
-
+    """Each region's ``hops``-hop ego (see ``RegionEgo``)."""
+    spatial, od = (spatial_src, spatial_dst), (od_src, od_dst)
     egos = {}
     for t, region_id in enumerate(region_ids):
-        ball = {t}
-        frontier = [t]
-        for _ in range(hops):
-            nxt = []
-            for v in frontier:
-                for u in in_neighbors[v]:
-                    if u not in ball:
-                        ball.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        nodes = np.array(sorted(ball), dtype=np.int64)
-        local = np.full(n, -1, dtype=np.int64)
-        local[nodes] = np.arange(nodes.size)
-
-        def _restrict(src, dst):
-            mask = (local[src] >= 0) & (local[dst] >= 0)
-            return mask, local[src[mask]], local[dst[mask]]
-
-        _, sp_src, sp_dst = _restrict(spatial_src, spatial_dst)
-        od_mask, ego_od_src, ego_od_dst = _restrict(od_src, od_dst)
+        rows, arcs, _, _ = _carve(len(region_ids), np.array([t]), spatial, od, hops)
+        _, sp_src, sp_dst = arcs["rn"]
+        od_order, ego_od_src, ego_od_dst = arcs["od"]
         egos[region_id] = RegionEgo(
-            nodes=nodes,
-            target_local=int(local[t]),
+            nodes=rows,
+            target_local=0,
             spatial_src=sp_src,
             spatial_dst=sp_dst,
             spatial_feats=Tensor(np.zeros((sp_src.size, REGION_SPATIAL_FEAT_DIM))),
             od_src=ego_od_src,
             od_dst=ego_od_dst,
-            od_zflow=Tensor(od_zflow[od_mask]),
+            od_zflow=Tensor(od_zflow[od_order]),
         )
     return egos
 

@@ -203,6 +203,18 @@ def test_non_finite_config_value_exits_1(workspace, tmp_path, capsys, line):
     assert not (tmp_path / "run").exists()
 
 
+def test_repeated_config_key_exits_1(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    cfg = tmp_path / "repeated.txt"
+    cfg.write_text(f"data_dir={data}\nepochs=5\n# later\nepochs=7\n", encoding="utf-8")
+    message = r"repeated\.txt:4: repeated config key 'epochs', first set on line 2"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_file(cfg)
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 1
+    assert "repeated config key 'epochs'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_data_dir_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("epochs=1\n", encoding="utf-8")

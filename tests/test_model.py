@@ -14,7 +14,7 @@ from roadcarbon import model as model_module
 from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
 from roadcarbon.data import Dataset, split_dataset
 from roadcarbon.graphs import Hierarchy, adjacency_arcs, build_road_graph, pool_nodes
-from roadcarbon.layers import EgatParams, FusionParams, stack_hetero
+from roadcarbon.layers import EgatParams, FusionParams, attention_fusion, stack_hetero
 from roadcarbon.model import (
     CHECKPOINT_FORMAT,
     CheckpointError,
@@ -749,9 +749,14 @@ REGION_ABLATIONS = [a for a in ABLATION_CHOICES if a != "no_region_level"]
 
 
 @pytest.fixture(scope="module")
-def region_world():
-    # 4-hop egos on 24 regions: every allowed depth leaves arcs unread
-    ds = generate_synthetic(SynthParams(n_regions=24, grid_side=3, communities=2, seed=31))
+def region_dataset():
+    return generate_synthetic(SynthParams(n_regions=24, grid_side=3, communities=2, seed=31))
+
+
+@pytest.fixture(scope="module")
+def region_world(region_dataset):
+    # 4-hop egos on 24 regions: every shallower depth leaves arcs unread
+    ds = region_dataset
     stats = fit_normalization(ds, ds.region_ids)
     prep = prepare_dataset(ds, stats, hops=4)
     rng = np.random.default_rng(13)
@@ -793,7 +798,9 @@ def test_region_arc_prefixes_match_unpruned_stack(region_world, depth, monkeypat
     ego_arcs = {"rn": sum(e.spatial_src.size for e in egos), "od": sum(e.od_src.size for e in egos)}
     for tag, counts in union.layer_arcs.items():
         assert len(counts) == depth and counts == sorted(counts, reverse=True)
-        assert counts[-1] < counts[0] < ego_arcs[tag], (tag, counts, ego_arcs[tag])
+        assert counts[-1] < counts[0] <= ego_arcs[tag], (tag, counts, ego_arcs[tag])
+        # an ego holds only the arcs its own depth reads
+        assert (counts[0] == ego_arcs[tag]) == (depth == prep.ego_hops), (tag, depth)
     rows = union.layer_rows
     assert len(rows) == depth and rows == sorted(rows, reverse=True)
     assert rows[-1] == len(batch) < rows[0] < union.nodes.size, rows
@@ -820,6 +827,55 @@ def test_region_arc_prefixes_match_unpruned_stack(region_world, depth, monkeypat
         for name, want in want_grads.items():
             scale = np.abs(want).max()
             assert np.abs(got_grads[name] - want).max() <= 1e-12 * scale, (ablation, name)
+
+
+@pytest.mark.parametrize("hops", (2, 3, 4))
+def test_ego_carved_at_stack_depth_is_its_own_union(region_dataset, hops):
+    # a union re-derives hop distances, so an ego carved for its own depth
+    # comes back row for row and arc for arc
+    ds = region_dataset
+    prep = prepare_dataset(ds, fit_normalization(ds, ds.region_ids), hops=hops)
+    for region_id, ego in prep.egos.items():
+        union = model_module._union_egos([ego], hops)
+        for name in ("nodes", "spatial_src", "spatial_dst", "od_src", "od_dst"):
+            assert np.array_equal(getattr(union, name), getattr(ego, name)), (region_id, name)
+        assert np.array_equal(union.spatial_feats.values, ego.spatial_feats.values)
+        assert np.array_equal(union.od_zflow.values, ego.od_zflow.values), region_id
+        assert union.layer_arcs["rn"][0] == ego.spatial_src.size
+        assert union.layer_arcs["od"][0] == ego.od_src.size
+
+
+@pytest.mark.parametrize("depth, hops", [(2, 2), (2, 4), (3, 3), (3, 4), (4, 4)])
+def test_predict_region_matches_whole_region_graph_at_fresh_cache(region_dataset, depth, hops):
+    """At a fresh cache every live intra row equals its cached row, so each
+    region's prediction is the region stack run once on the whole region
+    graph of cached rows, fused with the region's own row, then the head."""
+    ds = region_dataset
+    stats = fit_normalization(ds, ds.region_ids)
+    prep = prepare_dataset(ds, stats, hops=hops)
+    for ablation in REGION_ABLATIONS:
+        config = RunConfig(hidden=8, layers=depth, layers_road=2, seed=3, ablation=ablation)
+        model = EmissionModel(config, stats)
+        cache = refresh_region_cache(model, prep, epoch=0)
+        with no_grad():
+            got = np.array(
+                [model.predict_region(prep, r, cache).values[0, 0] for r in prep.region_ids]
+            )
+            rows = Tensor(np.concatenate([cache.reps[r] for r in prep.region_ids]))
+            typed = []
+            if model.use_spatial:
+                typed.append((
+                    "rn", prep.region_spatial_src, prep.region_spatial_dst,
+                    prep.region_spatial_feats,
+                ))
+            if model.use_od:
+                embed_w, embed_b = model.region_od_embed
+                od_feats = prep.region_od_zflow.values @ embed_w.values + embed_b.values
+                typed.append(("od", prep.region_od_src, prep.region_od_dst, Tensor(od_feats)))
+            inter, _ = stack_hetero(rows, typed, model.region_layers, model.region_fusion)
+            fused, _ = attention_fusion([("intra", rows), ("inter", inter)], model.final_fusion)
+            want = model._head_forward(fused).values[:, 0]
+        assert np.abs(got - want).max() <= 1e-12, (ablation, np.abs(got - want).max())
 
 
 @pytest.mark.parametrize("depth", (2, 3, 4))
@@ -878,9 +934,36 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
     ).reshape(-1, 2)
     od_src, od_dst = od[:, 0], od[:, 1]
     zflow = rng.normal(size=od_src.size)
-    egos = model_module._build_region_egos(
-        ids, sp_src, sp_dst, od_src, od_dst, zflow, depth + extra_hops
-    )
+    hops = depth + extra_hops
+    egos = model_module._build_region_egos(ids, sp_src, sp_dst, od_src, od_dst, zflow, hops)
+
+    # each ego against a breadth-first carve of its target: the rows within
+    # ``hops`` hops by (distance, index), the arcs into rows within
+    # ``hops - 1`` hops stably by their destination's distance
+    all_src = np.concatenate([sp_src, od_src]).tolist()
+    all_dst = np.concatenate([sp_dst, od_dst]).tolist()
+    for t in range(n):
+        ring = {t: 0}
+        frontier = {t}
+        for k in range(1, hops + 1):
+            frontier = {s for s, d in zip(all_src, all_dst) if d in frontier and s not in ring}
+            ring.update((s, k) for s in frontier)
+        nodes = sorted(ring, key=lambda v: (ring[v], v))
+        local = {v: i for i, v in enumerate(nodes)}
+        ego = egos[ids[t]]
+        assert ego.nodes.tolist() == nodes and ego.target_local == 0
+        read = {}
+        for tag, arc_src, arc_dst, got_src, got_dst in (
+            ("rn", sp_src, sp_dst, ego.spatial_src, ego.spatial_dst),
+            ("od", od_src, od_dst, ego.od_src, ego.od_dst),
+        ):
+            into = [a for a in range(arc_dst.size) if ring.get(arc_dst[a], hops) < hops]
+            read[tag] = sorted(into, key=lambda a: ring[arc_dst[a]])
+            assert got_src.tolist() == [local[arc_src[a]] for a in read[tag]], tag
+            assert got_dst.tolist() == [local[arc_dst[a]] for a in read[tag]], tag
+        assert ego.spatial_feats.shape == (ego.spatial_src.size, 1)
+        assert np.array_equal(ego.od_zflow.values, zflow[read["od"]].reshape(-1, 1))
+
     targets = [ids[i] for i in rng.permutation(n)[: rng.integers(1, n + 1)]]
     union = model_module._union_egos([egos[t] for t in targets], depth)
     B = len(targets)
