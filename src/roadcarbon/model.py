@@ -14,14 +14,16 @@ past the regions before it): one intra pass per union of at most
 ``UNION_ROW_BUDGET`` road rows (nodes + arcs), one region-level pass over
 the union of the targets' egos, then one fusion and head.  Training runs
 each minibatch this way; ``predict_region`` is the one-region call, and
-a prepared region is its own one-region union.
+a prepared region is its own one-region union.  Every region-level
+subgraph is a ``RegionEgo`` carved by ``_union_egos``: each stored ego from
+the whole region graph, each batch's union from the targets' stored egos.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -193,9 +195,9 @@ class RegionUnion:
     Each region's node, arc, community and spatial-arc indices are shifted
     past those of the regions before it, so no arc or OD link joins two
     regions.  Spatial arc ``cross_dst[k]`` pools road arc ``cross_src[k]``
-    (see ``graphs.community_spatial_arcs``).  ``node_region`` and
-    ``community_region`` give each row's region, by its position in the
-    union.
+    (see ``graphs.community_spatial_arcs``).  ``community_region`` gives
+    each community's region, by its position in the union, and
+    ``community_region[groups]`` each node's.
     """
 
     node_feats: Tensor
@@ -203,7 +205,6 @@ class RegionUnion:
     arc_src: np.ndarray
     arc_dst: np.ndarray
     groups: np.ndarray
-    n_communities: int
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
     cross_src: np.ndarray
@@ -211,7 +212,6 @@ class RegionUnion:
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
-    node_region: np.ndarray
     community_region: np.ndarray
 
 
@@ -227,18 +227,21 @@ class PreparedRegion(RegionUnion):
 
 @dataclass
 class RegionEgo:
-    """One target's ``hops``-hop in-neighborhood at region level, carved by
-    ``_carve`` in hop order: the target is row 0, and arcs into the
-    outermost ring, which no layer reads, are left out.
+    """The region-level subgraph a stack reads for its targets' rows,
+    carved by ``_carve`` in hop order: rows sorted stably by hop distance
+    to their target, so targets first, in order, and each arc type stably
+    by its destination's distance; arcs into the outermost ring, which no
+    layer reads, are left out.  A stack at most as deep as the carve
+    reproduces the targets' rows exactly: a row's value after layer l
+    depends only on its l-hop in-neighborhood, and every row a layer
+    outputs keeps its whole incoming arc set.
 
-    Running a stack at most ``hops`` deep on this subgraph reproduces the
-    target's output row exactly: a row's value after layer l depends only
-    on its l-hop in-neighborhood, and every row a layer outputs keeps its
-    whole incoming arc set.  ``_union_egos`` carves a batch of egos again
-    for the stack's own depth.
+    A stored ego (``PreparedData.egos``) has one target, ``target_local``,
+    row 0 after a carve.  ``prefixes`` are ``stack_hetero``'s per-layer
+    row and arc prefixes for the carve's depth (see ``_carve``).
     """
 
-    nodes: np.ndarray  # global region indices, in hop order, target first
+    nodes: np.ndarray  # global region indices
     target_local: int
     spatial_src: np.ndarray
     spatial_dst: np.ndarray
@@ -246,43 +249,13 @@ class RegionEgo:
     od_src: np.ndarray
     od_dst: np.ndarray
     od_zflow: Tensor
-
-
-@dataclass
-class EgoUnion:
-    """Disjoint union of target egos carved for a ``depth``-layer stack, in
-    hop order, targets first; ``nodes`` is the global index of every row.
-
-    Rows are sorted stably by their hop distance to their ego's target, so
-    row j is target j and the rows within any number of hops form a
-    prefix.  Each arc type is sorted stably by its destination's distance,
-    so a destination's arcs keep their order.  Layer l of the stack outputs
-    the first ``layer_rows[l]`` rows, those within ``depth - 1 - l`` hops,
-    the only rows a later layer reads; the last layer's are the targets.
-    It reads the prefix of ``layer_arcs[tag][l]`` arcs of type ``tag``
-    (``rn`` spatial, ``od`` OD): the arcs into those rows.  Rows and arcs
-    that feed no layer are left out, so an ego carved with ``hops ==
-    depth`` is its own one-ego union.
-    """
-
-    nodes: np.ndarray
-    spatial_src: np.ndarray
-    spatial_dst: np.ndarray
-    spatial_feats: Tensor
-    od_src: np.ndarray
-    od_dst: np.ndarray
-    od_zflow: Tensor
-    layer_rows: list[int]
-    layer_arcs: dict[str, list[int]]
-
-    @property
-    def prefixes(self) -> dict[str, list[int]]:
-        """``stack_hetero``'s per-layer row and arc prefixes."""
-        return {"rows": self.layer_rows, **self.layer_arcs}
+    prefixes: dict[str, list[int]] | None = None
 
 
 def _shifted(parts: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """Concatenate index arrays, each shifted by the sizes of the parts before it."""
+    """Concatenate index arrays, each shifted past the parts before it; one part as is."""
+    if len(parts) == 1:
+        return parts[0]
     offsets = np.cumsum([0] + sizes[:-1])
     return np.concatenate([p + o for p, o in zip(parts, offsets)])
 
@@ -298,16 +271,14 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
         return regions[0]
     n_nodes = [r.node_feats.shape[0] for r in regions]
     n_arcs = [r.arc_src.size for r in regions]
-    n_comms = [r.n_communities for r in regions]
+    n_comms = [r.community_region.size for r in regions]
     n_spatial = [r.spatial_src.size for r in regions]
-    positions = np.arange(len(regions))
     return RegionUnion(
         node_feats=_stacked([r.node_feats for r in regions]),
         arc_feats=_stacked([r.arc_feats for r in regions]),
         arc_src=_shifted([r.arc_src for r in regions], n_nodes),
         arc_dst=_shifted([r.arc_dst for r in regions], n_nodes),
         groups=_shifted([r.groups for r in regions], n_comms),
-        n_communities=sum(n_comms),
         spatial_src=_shifted([r.spatial_src for r in regions], n_comms),
         spatial_dst=_shifted([r.spatial_dst for r in regions], n_comms),
         cross_src=_shifted([r.cross_src for r in regions], n_arcs),
@@ -315,15 +286,13 @@ def _union_regions(regions: list[PreparedRegion]) -> RegionUnion:
         od_src=_shifted([r.od_src for r in regions], n_comms),
         od_dst=_shifted([r.od_dst for r in regions], n_comms),
         od_zflow=_stacked([r.od_zflow for r in regions]),
-        node_region=np.repeat(positions, n_nodes),
-        community_region=np.repeat(positions, n_comms),
+        community_region=np.repeat(np.arange(len(regions)), n_comms),
     )
 
 
 def _carve(n: int, roots: np.ndarray, spatial: tuple, od: tuple, depth: int) -> tuple:
     """What a ``depth``-layer stack reads of an ``n``-row graph to compute
-    the rows of ``roots``, in hop order: ``(rows, arcs, layer_rows,
-    layer_arcs)``.
+    the rows of ``roots``, in hop order: ``(rows, arcs, prefixes)``.
 
     Hop distances to the nearest root along the ``(src, dst)`` arcs of
     ``spatial`` and ``od`` take ``depth`` frontier steps.  ``rows`` are the
@@ -331,8 +300,8 @@ def _carve(n: int, roots: np.ndarray, spatial: tuple, od: tuple, depth: int) -> 
     ``arcs[tag]`` (``rn`` spatial, ``od`` OD) holds the positions, and the
     sources and destinations renumbered to ``rows``, of the arcs into rows
     within ``depth - 1`` hops, sorted stably by destination distance.
-    Layer l outputs the first ``layer_rows[l]`` rows, those within
-    ``depth - 1 - l`` hops, from the first ``layer_arcs[tag][l]`` arcs.
+    Layer l outputs the first ``prefixes["rows"][l]`` rows, those within
+    ``depth - 1 - l`` hops, from the first ``prefixes[tag][l]`` arcs.
     """
     src = np.concatenate([spatial[0], od[0]])
     dst = np.concatenate([spatial[1], od[1]])
@@ -346,30 +315,31 @@ def _carve(n: int, roots: np.ndarray, spatial: tuple, od: tuple, depth: int) -> 
         """The positions with ``key <= bound`` stably by key, and each layer's prefix."""
         kept = np.flatnonzero(key <= bound)
         kept = kept[np.argsort(key[kept], kind="stable")]
-        prefixes = np.searchsorted(key[kept], np.arange(depth - 1, -1, -1), side="right")
-        return kept, prefixes.tolist()
+        counts = np.searchsorted(key[kept], np.arange(depth - 1, -1, -1), side="right")
+        return kept, counts.tolist()
 
-    rows, layer_rows = hop_order(dist, depth)
+    prefixes = {}
+    rows, prefixes["rows"] = hop_order(dist, depth)
     renumber = np.empty(n, dtype=np.int64)
     renumber[rows] = np.arange(rows.size)
-    arcs, layer_arcs = {}, {}
+    arcs = {}
     for tag, (s, d) in (("rn", spatial), ("od", od)):
-        kept, layer_arcs[tag] = hop_order(dist[d], depth - 1)
+        kept, prefixes[tag] = hop_order(dist[d], depth - 1)
         arcs[tag] = (kept, renumber[s[kept]], renumber[d[kept]])
-    return rows, arcs, layer_rows, layer_arcs
+    return rows, arcs, prefixes
 
 
-def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
+def _union_egos(egos: list[RegionEgo], depth: int) -> RegionEgo:
     """The disjoint union of target egos, targets first in order, carved
-    for a ``depth``-layer stack (see ``EgoUnion``); hop distances are
-    taken afresh, so an ego need only hold its target's ``depth``-hop
-    in-neighborhood."""
+    for a ``depth``-layer stack (see ``RegionEgo``).  Hop distances are
+    taken afresh and the egos' own ``prefixes`` are not read, so an ego
+    need only hold its target's ``depth``-hop in-neighborhood."""
     sizes = [e.nodes.size for e in egos]
 
     def shifted(field: str) -> np.ndarray:
         return _shifted([getattr(e, field) for e in egos], sizes)
 
-    rows, arcs, layer_rows, layer_arcs = _carve(
+    rows, arcs, prefixes = _carve(
         sum(sizes),
         _shifted([np.array([e.target_local]) for e in egos], sizes),
         (shifted("spatial_src"), shifted("spatial_dst")),
@@ -377,16 +347,16 @@ def _union_egos(egos: list[RegionEgo], depth: int) -> EgoUnion:
         depth,
     )
     (sp_order, spatial_src, spatial_dst), (od_order, od_src, od_dst) = arcs["rn"], arcs["od"]
-    return EgoUnion(
+    return RegionEgo(
         nodes=np.concatenate([e.nodes for e in egos])[rows],
+        target_local=0,
         spatial_src=spatial_src,
         spatial_dst=spatial_dst,
         spatial_feats=Tensor(_stacked([e.spatial_feats for e in egos]).values[sp_order]),
         od_src=od_src,
         od_dst=od_dst,
         od_zflow=Tensor(_stacked([e.od_zflow for e in egos]).values[od_order]),
-        layer_rows=layer_rows,
-        layer_arcs=layer_arcs,
+        prefixes=prefixes,
     )
 
 
@@ -469,7 +439,6 @@ def prepare_dataset(
             arc_src=graph.arc_src,
             arc_dst=graph.arc_dst,
             groups=groups,
-            n_communities=len(communities),
             spatial_src=spatial_src,
             spatial_dst=spatial_dst,
             cross_src=cross_src,
@@ -479,7 +448,6 @@ def prepare_dataset(
             od_zflow=Tensor(
                 _zscore_log_flow(flows, stats.community_flow_mean, stats.community_flow_std)
             ),
-            node_region=np.zeros(graph.n_nodes, dtype=np.int64),
             community_region=np.zeros(len(communities), dtype=np.int64),
             region_id=region_id,
             label_norm=stats.normalize_label(dataset.labels[region_id]),
@@ -489,52 +457,33 @@ def prepare_dataset(
     region_index = {r: i for i, r in enumerate(dataset.region_ids)}
     spatial_src, spatial_dst = adjacency_arcs(dataset.region_adjacency, region_index)
     od_src, od_dst, flows = od_arcs(dataset.region_od, region_index, min_flow)
-    od_zflow = _zscore_log_flow(flows, stats.region_flow_mean, stats.region_flow_std)
+    whole = RegionEgo(
+        nodes=np.arange(len(dataset.region_ids)),
+        target_local=0,
+        spatial_src=spatial_src,
+        spatial_dst=spatial_dst,
+        spatial_feats=Tensor(np.zeros((spatial_src.size, REGION_SPATIAL_FEAT_DIM))),
+        od_src=od_src,
+        od_dst=od_dst,
+        od_zflow=Tensor(_zscore_log_flow(flows, stats.region_flow_mean, stats.region_flow_std)),
+    )
     return PreparedData(
         regions=regions,
         region_ids=dataset.region_ids,
         stats=stats,
-        region_spatial_src=spatial_src,
-        region_spatial_dst=spatial_dst,
-        region_spatial_feats=Tensor(np.zeros((spatial_src.size, REGION_SPATIAL_FEAT_DIM))),
-        region_od_src=od_src,
-        region_od_dst=od_dst,
-        region_od_zflow=Tensor(od_zflow),
-        egos=_build_region_egos(
-            dataset.region_ids, spatial_src, spatial_dst, od_src, od_dst, od_zflow, hops
-        ),
+        region_spatial_src=whole.spatial_src,
+        region_spatial_dst=whole.spatial_dst,
+        region_spatial_feats=whole.spatial_feats,
+        region_od_src=whole.od_src,
+        region_od_dst=whole.od_dst,
+        region_od_zflow=whole.od_zflow,
+        egos={
+            region_id: _union_egos([replace(whole, target_local=t)], hops)
+            for t, region_id in enumerate(dataset.region_ids)
+        },
         ego_hops=hops,
         _region_index=region_index,
     )
-
-
-def _build_region_egos(
-    region_ids: list[str],
-    spatial_src: np.ndarray,
-    spatial_dst: np.ndarray,
-    od_src: np.ndarray,
-    od_dst: np.ndarray,
-    od_zflow: np.ndarray,
-    hops: int,
-) -> dict[str, RegionEgo]:
-    """Each region's ``hops``-hop ego (see ``RegionEgo``)."""
-    spatial, od = (spatial_src, spatial_dst), (od_src, od_dst)
-    egos = {}
-    for t, region_id in enumerate(region_ids):
-        rows, arcs, _, _ = _carve(len(region_ids), np.array([t]), spatial, od, hops)
-        _, sp_src, sp_dst = arcs["rn"]
-        od_order, ego_od_src, ego_od_dst = arcs["od"]
-        egos[region_id] = RegionEgo(
-            nodes=rows,
-            target_local=0,
-            spatial_src=sp_src,
-            spatial_dst=sp_dst,
-            spatial_feats=Tensor(np.zeros((sp_src.size, REGION_SPATIAL_FEAT_DIM))),
-            od_src=ego_od_src,
-            od_dst=ego_od_dst,
-            od_zflow=Tensor(od_zflow[od_order]),
-        )
-    return egos
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +507,9 @@ class RegionCache:
 class ForwardRecord:
     """Attention weights collected along one prediction call.  Each
     community layer record covers every row of that call's unions; each
-    region layer record covers that layer's row prefix of the ego union,
-    in hop order, so row j is target j and the last layer's rows are the
-    targets."""
+    region layer record covers that layer's row prefix of the targets'
+    ``RegionEgo`` union, in hop order, so row j is target j and the last
+    layer's rows are the targets."""
 
     community: list[HeteroLayerRecord] = field(default_factory=list)
     region: list[HeteroLayerRecord] = field(default_factory=list)
@@ -686,7 +635,7 @@ class EmissionModel:
     def _hetero_forward(
         self,
         V: Tensor,
-        graph: RegionUnion | EgoUnion,
+        graph: RegionUnion | RegionEgo,
         spatial_feats: Tensor | None,
         level: tuple,
         records: list[HeteroLayerRecord] | None,
@@ -722,10 +671,11 @@ class EmissionModel:
             union.node_feats, union.arc_feats, union.arc_src, union.arc_dst, self.road_layers
         )
         if not self.use_community:
-            return pool_nodes(phi, v_road, union.node_region, len(regions))
+            return pool_nodes(phi, v_road, union.community_region[union.groups], len(regions))
 
         v_comm = community_node_features(
-            phi, v_road, e_road, union.arc_src, union.arc_dst, union.groups, union.n_communities
+            phi, v_road, e_road, union.arc_src, union.arc_dst, union.groups,
+            union.community_region.size,
         )
         spatial_feats = None
         if self.use_spatial:
@@ -753,8 +703,8 @@ class EmissionModel:
 
         Evaluated on the disjoint union of the targets' precomputed
         receptive-field subgraphs, which reproduces each full-graph target
-        row exactly.  The union's rows are in hop order, targets first (see
-        ``EgoUnion``), so the live rows sit above the cached ones.  Layer l
+        row exactly.  The union, itself a ``RegionEgo``, has its rows in hop
+        order, targets first, so the live rows sit above the cached ones.  Layer l
         outputs only the rows within ``depth - 1 - l`` hops of their target,
         a row prefix, from the arcs into them, an arc prefix per type; the
         last layer's rows are the targets'.  Every row except a target's own
@@ -903,8 +853,17 @@ def load_checkpoint(path) -> EmissionModel:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
+
+    def unique_keys(pairs: list[tuple]) -> dict:
+        """A JSON object as a dict; a repeated key, at any depth, is an error."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+            raise CheckpointError(f"checkpoint {path} repeats key {key!r}")
+        return obj
+
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}")
     if not isinstance(payload, dict):

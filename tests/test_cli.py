@@ -479,16 +479,27 @@ def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):
 @pytest.mark.parametrize(
     "write, named",
     [
-        (lambda path: path.mkdir(), "unreadable checkpoint"),
-        (lambda path: path.write_bytes(b'{"format": "hence-\xff"}'), "unreadable checkpoint"),
-        (lambda path: path.write_text("[1, 2]", encoding="utf-8"), "not a JSON object"),
+        (lambda path, text: path.mkdir(), "unreadable checkpoint"),
+        (lambda path, text: path.write_bytes(b'{"format": "hence-\xff"}'),
+         "unreadable checkpoint"),
+        (lambda path, text: path.write_text("[1, 2]", encoding="utf-8"), "not a JSON object"),
+        # a repeated key would otherwise take its last value silently
+        (lambda path, text: path.write_text(
+            text.replace('{"format": ', '{"format": "bogus", "format": ', 1),
+            encoding="utf-8",
+        ), "repeats key 'format'"),
+        (lambda path, text: path.write_text(
+            text.replace('"config": {', '"config": {"hidden": 999, ', 1), encoding="utf-8"
+        ), "repeats key 'hidden'"),
     ],
-    ids=["directory", "not-utf8", "top-level-list"],
+    ids=["directory", "not-utf8", "top-level-list", "repeated-format", "repeated-config-key"],
 )
 def test_unreadable_checkpoint_exit_1(workspace, tmp_path, capsys, write, named):
-    _, data, _ = workspace
+    root, data, _ = workspace
     path = tmp_path / "ck.json"
-    write(path)
+    text = (root / "run" / "checkpoint.json").read_text(encoding="utf-8")
+    assert text.startswith('{"format": ') and text.count('"config": {') == 1
+    write(path, text)
     out = tmp_path / "p.csv"
     assert run_cli("predict", "--checkpoint", path, "--data", data, "--out", out) == 1
     assert named in capsys.readouterr().err

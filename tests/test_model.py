@@ -2,6 +2,7 @@ import base64
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -676,7 +677,12 @@ def test_one_region_is_its_own_union(setting):
     _, _, _, prep = setting
     region = prep.regions[prep.region_ids[0]]
     assert model_module._union_regions([region]) is region
-    assert not region.node_region.any() and not region.community_region.any()
+    assert not region.community_region.any()
+    # a union's node -> region map is derived through the community groups
+    regions = [prep.regions[r] for r in prep.region_ids[:3]]
+    u = model_module._union_regions(regions)
+    n_nodes = [r.node_feats.shape[0] for r in regions]
+    assert np.array_equal(u.community_region[u.groups], np.repeat(np.arange(3), n_nodes))
 
 
 def test_union_spatial_arcs_pair_up_with_crossing_pairs(setting):
@@ -796,12 +802,13 @@ def test_region_arc_prefixes_match_unpruned_stack(region_world, depth, monkeypat
     egos = [prep.egos[r] for r in batch]
     union = model_module._union_egos(egos, depth)
     ego_arcs = {"rn": sum(e.spatial_src.size for e in egos), "od": sum(e.od_src.size for e in egos)}
-    for tag, counts in union.layer_arcs.items():
+    for tag in ("rn", "od"):
+        counts = union.prefixes[tag]
         assert len(counts) == depth and counts == sorted(counts, reverse=True)
         assert counts[-1] < counts[0] <= ego_arcs[tag], (tag, counts, ego_arcs[tag])
         # an ego holds only the arcs its own depth reads
         assert (counts[0] == ego_arcs[tag]) == (depth == prep.ego_hops), (tag, depth)
-    rows = union.layer_rows
+    rows = union.prefixes["rows"]
     assert len(rows) == depth and rows == sorted(rows, reverse=True)
     assert rows[-1] == len(batch) < rows[0] < union.nodes.size, rows
 
@@ -841,8 +848,9 @@ def test_ego_carved_at_stack_depth_is_its_own_union(region_dataset, hops):
             assert np.array_equal(getattr(union, name), getattr(ego, name)), (region_id, name)
         assert np.array_equal(union.spatial_feats.values, ego.spatial_feats.values)
         assert np.array_equal(union.od_zflow.values, ego.od_zflow.values), region_id
-        assert union.layer_arcs["rn"][0] == ego.spatial_src.size
-        assert union.layer_arcs["od"][0] == ego.od_src.size
+        assert union.prefixes == ego.prefixes, region_id
+        assert union.prefixes["rn"][0] == ego.spatial_src.size
+        assert union.prefixes["od"][0] == ego.od_src.size
 
 
 @pytest.mark.parametrize("depth, hops", [(2, 2), (2, 4), (3, 3), (3, 4), (4, 4)])
@@ -908,6 +916,35 @@ def test_removing_an_od_arc_into_the_target_changes_its_prediction(region_world,
     assert abs(cut - base) > 1e-9, (base, cut)
 
 
+def test_ego_built_from_its_eight_fields_predicts_the_same(region_world):
+    # an ego built by keyword from a stored ego's eight fields, with no
+    # prefixes, is carved again and predicts bitwise what the stored one does
+    stats, prep, cache = region_world
+    target = prep.region_ids[5]
+    ego = prep.egos[target]
+    rebuilt = model_module.RegionEgo(
+        nodes=ego.nodes,
+        target_local=ego.target_local,
+        spatial_src=ego.spatial_src,
+        spatial_dst=ego.spatial_dst,
+        spatial_feats=ego.spatial_feats,
+        od_src=ego.od_src,
+        od_dst=ego.od_dst,
+        od_zflow=ego.od_zflow,
+    )
+    assert rebuilt.prefixes is None and ego.prefixes is not None
+    for depth in (2, 3, 4):
+        model = EmissionModel(RunConfig(hidden=8, layers=depth, layers_road=2, seed=3), stats)
+        with no_grad():
+            want = model.predict_region(prep, target, cache).values
+            prep.egos[target] = rebuilt
+            try:
+                got = model.predict_region(prep, target, cache).values
+            finally:
+                prep.egos[target] = ego
+        assert got.tobytes() == want.tobytes(), depth
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 9),
@@ -935,7 +972,21 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
     od_src, od_dst = od[:, 0], od[:, 1]
     zflow = rng.normal(size=od_src.size)
     hops = depth + extra_hops
-    egos = model_module._build_region_egos(ids, sp_src, sp_dst, od_src, od_dst, zflow, hops)
+    # each ego carved from the whole graph, as prepare_dataset carves it
+    whole = model_module.RegionEgo(
+        nodes=np.arange(n),
+        target_local=0,
+        spatial_src=sp_src,
+        spatial_dst=sp_dst,
+        spatial_feats=Tensor(np.zeros((sp_src.size, 1))),
+        od_src=od_src,
+        od_dst=od_dst,
+        od_zflow=Tensor(zflow),
+    )
+    egos = {
+        ids[t]: model_module._union_egos([replace(whole, target_local=t)], hops)
+        for t in range(n)
+    }
 
     # each ego against a breadth-first carve of its target: the rows within
     # ``hops`` hops by (distance, index), the arcs into rows within
@@ -979,12 +1030,12 @@ def test_arc_prefixes_reproduce_full_graph_target_rows(n, depth, extra_hops, tag
         frontier = [s for s, t in zip(src, dst) if t in frontier and dist[s] > k]
         dist[frontier] = k
     assert (np.diff(dist) >= 0).all(), dist
-    assert union.layer_rows[-1] == B
+    assert union.prefixes["rows"][-1] == B
     for l in range(depth):
         prefix = np.count_nonzero(dist <= depth - 1 - l)
-        assert union.layer_rows[l] == prefix, (l, union.layer_rows)
+        assert union.prefixes["rows"][l] == prefix, (l, union.prefixes)
         for tag, arc_dst in (("rn", union.spatial_dst), ("od", union.od_dst)):
-            read = union.layer_arcs[tag][l]
+            read = union.prefixes[tag][l]
             assert (arc_dst[:read] < prefix).all() and (arc_dst[read:] >= prefix).all(), (tag, l)
 
     d = 3
