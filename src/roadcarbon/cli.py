@@ -126,15 +126,13 @@ def _json(record: dict) -> str:
 def cmd_gen_synth(args) -> int:
     # every gen-synth flag other than --out names a SynthParams field
     params = SynthParams(**{k: v for k, v in vars(args).items() if k not in ("command", "out")})
-    params.validate()
-    dataset = generate_synthetic(params)
+    _check_out_dir(args.out)
+    dataset = generate_synthetic(params)  # validates params before any work
     out = Path(args.out)
     write_dataset(dataset, out)
     lines = []
     for f in fields(SynthParams):
         value = getattr(params, f.name)
-        if isinstance(value, dict):
-            continue
         lines.append(f"{f.name}={_fmt(value) if isinstance(value, float) else value}")
     with atomic_write(out / "synth_params.txt") as fh:
         fh.write("\n".join(lines) + "\n")

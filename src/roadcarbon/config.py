@@ -6,7 +6,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .data import atomic_write
+from .data import _utf8_problem, atomic_write
 
 LAYER_CHOICES = (2, 3, 4)
 BATCH_CHOICES = (8, 16, 32, 64)
@@ -126,12 +126,16 @@ class RunConfig:
     @staticmethod
     def from_file(path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8-sig")
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: cannot read: {exc.strerror or exc}")
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {_utf8_problem(path)}")
         known = {f.name: f.type for f in fields(RunConfig)}
         data = {}
         first_line = {}
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

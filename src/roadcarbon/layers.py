@@ -52,8 +52,6 @@ from .tensor import (
     vstack,
 )
 
-LEAKY_SLOPE = 0.2
-
 
 @dataclass
 class EgatParams:
@@ -164,7 +162,7 @@ def egat_layer(
     full_src = np.concatenate([src, loops])
     full_dst = np.concatenate([dst, loops])
     ua = matmul(params.U.tensor, params.a.tensor)
-    scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua), LEAKY_SLOPE)
+    scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua))
     alpha = segment_softmax(scores, full_dst, n)
     V_out = attend(matmul(V, params.W.tensor), alpha, full_src, full_dst, n)
     E_out = None

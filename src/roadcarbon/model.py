@@ -399,7 +399,7 @@ def _zscore_log_flow(flows: np.ndarray, mean: float, std: float) -> np.ndarray:
 
 
 def prepare_dataset(
-    dataset: Dataset, stats: NormStats, min_flow: float = 0.0, hops: int = 4
+    dataset: Dataset, stats: NormStats, min_flow: float = 0.0, *, hops: int
 ) -> PreparedData:
     """Z-score features once, freeze them as constant tensors, and derive the
     static typed-arc structure of every heterogeneous graph.
@@ -407,8 +407,8 @@ def prepare_dataset(
     ``hops`` bounds the region-level receptive field: each region's ego holds
     its ``hops``-hop in-neighborhood and the arcs a ``hops``-layer stack
     reads (see ``RegionEgo``).  It must be at least the region stack's
-    depth; the default covers every allowed depth, and at ``hops`` equal to
-    the depth each ego is already its own one-target union.
+    depth; at ``hops`` equal to the depth each ego is already its own
+    one-target union.
     """
     by_region_od: dict[str, list[ODFlow]] = {r: [] for r in dataset.region_ids}
     region_of = dataset.hierarchy.community_to_region
@@ -497,19 +497,14 @@ class RegionCache:
     epoch: int
     reps: dict[str, np.ndarray]
 
-    def fingerprint(self) -> tuple:
-        return tuple(
-            (rid, self.reps[rid].tobytes()) for rid in sorted(self.reps)
-        )
-
 
 @dataclass
 class ForwardRecord:
-    """Attention weights collected along one prediction call.  Each
-    community layer record covers every row of that call's unions; each
-    region layer record covers that layer's row prefix of the targets'
-    ``RegionEgo`` union, in hop order, so row j is target j and the last
-    layer's rows are the targets."""
+    """Attention weights collected along one prediction call.  ``community``
+    holds one record per layer per budgeted intra run, run by run, each over
+    its run's union rows.  Each region layer record covers that layer's row
+    prefix of the targets' ``RegionEgo`` union, in hop order, so row j is
+    target j and the last layer's rows are the targets."""
 
     community: list[HeteroLayerRecord] = field(default_factory=list)
     region: list[HeteroLayerRecord] = field(default_factory=list)

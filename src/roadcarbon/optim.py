@@ -9,6 +9,8 @@ import numpy as np
 
 from .tensor import Tensor, backward, no_grad
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 @dataclass
 class Parameter:
@@ -48,20 +50,10 @@ def check_unique_names(params: list[Parameter]) -> None:
 class Adam:
     """Standard Adam with bias correction; one state slot per parameter name."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         check_unique_names(params)
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {p.name: np.zeros_like(p.values) for p in params}
         self.v = {p.name: np.zeros_like(p.values) for p in params}
@@ -72,18 +64,17 @@ class Adam:
             if p.tensor.grad is None:
                 raise ValueError(f"adam step with missing grad for parameter {p.name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for p in self.params:
             g = p.tensor.grad
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p.tensor.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1**self.t)
+            v_hat = v / (1.0 - BETA2**self.t)
+            p.tensor.values -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -6,7 +6,11 @@ Communities are grid blocks; travel demand follows a gravity model over
 seeded populations.  Labels come from shortest-path routing: every flow
 pays length times a per-class emission factor along its minimum-travel-time
 path.  All numeric conventions here are synthetic-world defaults, not
-measured values.
+measured values.  ``SynthParams`` holds one field per ``gen-synth`` flag;
+the module constants fix the rest of the world: ``DEFAULT_SPEEDS_KMH``,
+``DEFAULT_EMISSION_FACTORS``, ``CLASS_SHARES``, ``EXTENT_JITTER``,
+``INTRA_FLOW_SCALE``, ``INTER_FLOW_SCALE``, ``POP_DEGREE_EXP``,
+``POP_SIGMA`` and ``ACTIVITY_SIGMA``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +48,17 @@ DEFAULT_EMISSION_FACTORS = {
 # betweenness rank shares, highest rank first
 CLASS_SHARES = (("motorway", 0.10), ("primary", 0.20), ("secondary", 0.30))
 
+EXTENT_JITTER = 0.85  # per-region extent multiplier ~ U(1-j, 1+j)
+INTRA_FLOW_SCALE = 1e-3
+INTER_FLOW_SCALE = 0.08
+# population = base * (0.5 + degree)^exp * lognormal(sigma): demand tracks
+# road density (as in real cities) with an independent component on top
+POP_DEGREE_EXP = 2.0
+POP_SIGMA = 0.45
+# per-region lognormal multiplier on inter-region demand only; this slice
+# of the label is visible through OD flows but not through road structure
+ACTIVITY_SIGMA = 0.5
+
 
 @dataclass
 class SynthParams:
@@ -53,21 +68,9 @@ class SynthParams:
     gravity_gamma: float = 2.0
     k_nearest_regions: int = 4
     region_extent_km: float = 20.0
-    extent_jitter: float = 0.85  # per-region extent multiplier ~ U(1-j, 1+j)
     edge_deletion_frac: float = 0.2
-    intra_flow_scale: float = 1e-3
-    inter_flow_scale: float = 0.08
-    # population = base * (0.5 + degree)^exp * lognormal(sigma): demand tracks
-    # road density (as in real cities) with an independent component on top
-    pop_degree_exp: float = 2.0
-    pop_sigma: float = 0.45
-    # per-region lognormal multiplier on inter-region demand only; this slice
-    # of the label is visible through OD flows but not through road structure
-    activity_sigma: float = 0.5
     noise_std: float = 0.1
     seed: int = 0
-    speeds_kmh: dict = field(default_factory=lambda: dict(DEFAULT_SPEEDS_KMH))
-    emission_factors: dict = field(default_factory=lambda: dict(DEFAULT_EMISSION_FACTORS))
 
     def validate(self) -> None:
         for f in fields(self):
@@ -90,8 +93,6 @@ class SynthParams:
             raise ConfigError("gravity_gamma must be >= 0")
         if self.region_extent_km <= 0:
             raise ConfigError("region_extent_km must be > 0")
-        if not 0 <= self.extent_jitter < 1:
-            raise ConfigError("extent_jitter must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +229,6 @@ def oracle_emission(
     community_od: list[ODFlow],
     region_od: list[ODFlow],
     *,
-    factors: dict[str, float] | None = None,
-    speeds: dict[str, float] | None = None,
     region_centroids_km: dict[str, tuple[float, float]] | None = None,
     region_extent_km: float = 20.0,
 ) -> dict[str, float]:
@@ -243,9 +242,7 @@ def oracle_emission(
     straight-line centroid distance times the worst factor by convention,
     split half to each endpoint region.
     """
-    factors = factors or DEFAULT_EMISSION_FACTORS
-    speeds = speeds or DEFAULT_SPEEDS_KMH
-    worst = max(factors.values())
+    worst = max(DEFAULT_EMISSION_FACTORS.values())
     totals = {region: 0.0 for region in road_graphs}
 
     rep_of_community: dict[str, int] = {}
@@ -272,7 +269,7 @@ def oracle_emission(
         dst = rep_of_community[record.dest]
         key = (region, src)
         if key not in dijkstra_cache:
-            dijkstra_cache[key] = shortest_path_arcs(graph, src, speeds)
+            dijkstra_cache[key] = shortest_path_arcs(graph, src, DEFAULT_SPEEDS_KMH)
         times, pred = dijkstra_cache[key]
         if math.isinf(times[dst]):
             straight = (
@@ -283,7 +280,8 @@ def oracle_emission(
             )
             totals[region] += record.flow * straight * worst
         else:
-            totals[region] += record.flow * _path_emission(graph, pred, dst, factors)
+            path = _path_emission(graph, pred, dst, DEFAULT_EMISSION_FACTORS)
+            totals[region] += record.flow * path
 
     if region_od and region_centroids_km is None:
         raise ValueError("region-level OD flows require region_centroids_km")
@@ -375,11 +373,11 @@ def _generate_region(
         degrees[u] += 1
         degrees[v] += 1
     # region activity: long-range demand unexplainable by road structure
-    activity = rng.lognormal(mean=0.0, sigma=params.activity_sigma)
+    activity = rng.lognormal(mean=0.0, sigma=ACTIVITY_SIGMA)
     populations = (
         120.0
-        * (0.5 + degrees) ** params.pop_degree_exp
-        * rng.lognormal(mean=0.0, sigma=params.pop_sigma, size=n)
+        * (0.5 + degrees) ** POP_DEGREE_EXP
+        * rng.lognormal(mean=0.0, sigma=POP_SIGMA, size=n)
     )
     pop_by_node = {node_ids[i]: float(populations[i]) for i in range(n)}
     return nodes, segments, node_to_community, pop_by_node, activity
@@ -406,9 +404,7 @@ def generate_synthetic(params: SynthParams) -> Dataset:
 
     for idx, region_id in enumerate(region_ids):
         rng = np.random.default_rng(region_seeds[idx])
-        extent_km = params.region_extent_km * rng.uniform(
-            1.0 - params.extent_jitter, 1.0 + params.extent_jitter
-        )
+        extent_km = params.region_extent_km * rng.uniform(1.0 - EXTENT_JITTER, 1.0 + EXTENT_JITTER)
         nodes, segments, mapping, pop_by_node, activity = _generate_region(
             region_id, params, rng, extent_km
         )
@@ -435,7 +431,7 @@ def generate_synthetic(params: SynthParams) -> Dataset:
                 if a == b:
                     continue
                 dist = np.linalg.norm(centroids[a] - centroids[b])
-                flow = params.intra_flow_scale * pops[a] * pops[b] / dist**params.gravity_gamma
+                flow = INTRA_FLOW_SCALE * pops[a] * pops[b] / dist**params.gravity_gamma
                 community_od.append(ODFlow(a, b, "community", float(flow)))
 
         row, col = divmod(idx, meta_cols)
@@ -470,7 +466,7 @@ def generate_synthetic(params: SynthParams) -> Dataset:
                 bx, by = region_centroids_km[b]
                 dist = math.hypot(bx - ax, by - ay)
                 flow = (
-                    params.inter_flow_scale
+                    INTER_FLOW_SCALE
                     * region_activity[a] * region_pop[a]
                     * region_activity[b] * region_pop[b]
                     / dist**params.gravity_gamma
@@ -484,8 +480,6 @@ def generate_synthetic(params: SynthParams) -> Dataset:
         hierarchy,
         community_od,
         region_od,
-        factors=params.emission_factors,
-        speeds=params.speeds_kmh,
         region_centroids_km=region_centroids_km,
         region_extent_km=params.region_extent_km,
     )

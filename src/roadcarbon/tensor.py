@@ -41,6 +41,8 @@ import numpy as np
 
 _GRAD_ENABLED = True
 
+LEAKY_SLOPE = 0.2  # the paper's slope for attention scores and the head
+
 
 @contextmanager
 def no_grad():
@@ -320,14 +322,14 @@ def attend(H: Tensor, w: Tensor, src, dst, n: int) -> Tensor:
     return _result(out_values, (H, w), backward_fn, "attend")
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     # derivative at exactly 0 is defined as 1
     positive = x.values >= 0
-    out_values = np.where(positive, x.values, slope * x.values)
+    out_values = np.where(positive, x.values, LEAKY_SLOPE * x.values)
 
     def backward_fn(g):
         if x.requires_grad:
-            x.accumulate_grad(g * np.where(positive, 1.0, slope))
+            x.accumulate_grad(g * np.where(positive, 1.0, LEAKY_SLOPE))
 
     return _result(out_values, (x,), backward_fn, "leaky_relu")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class TrainResult:
     best_val_r2: float
     cache_refreshes: int
     steps: int
-    cache_fingerprints: list[tuple] = field(default_factory=list)
 
 
 def _first_non_finite(params) -> str | None:
@@ -140,8 +139,7 @@ def train(
     model: EmissionModel,
     prepared: PreparedData,
     splits: tuple[list[str], list[str], list[str]],
-    config: RunConfig | None = None,
-    instrument: bool = False,
+    config: RunConfig,
     stop_below_train_mse: float | None = None,
 ) -> TrainResult:
     """Minibatch training with one cache refresh per epoch and best-val restore.
@@ -154,7 +152,6 @@ def train(
     A step with a non-finite loss, parameter or gradient raises
     NonFiniteError.
     """
-    config = config or model.config
     train_ids, val_ids, _ = splits
     if not train_ids:
         raise ValueError("empty train split")
@@ -169,7 +166,6 @@ def train(
     cache_refreshes = 0
     steps = 0
     epoch_log: list[dict] = []
-    fingerprints: list[tuple] = []
 
     start = time.monotonic()
     for epoch in range(config.epochs):
@@ -189,8 +185,6 @@ def train(
             steps += 1
             sq_err_sum += batch_mse * len(batch)
             count += len(batch)
-            if instrument and cache is not None:
-                fingerprints.append((epoch, cache.fingerprint()))
 
         train_mse = float(sq_err_sum / count)
         val_norm, _ = evaluate(model, prepared, val_ids, cache)
@@ -238,5 +232,4 @@ def train(
         best_val_r2=float(best_val) if np.isfinite(best_val) else float("nan"),
         cache_refreshes=cache_refreshes,
         steps=steps,
-        cache_fingerprints=fingerprints,
     )

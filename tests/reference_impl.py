@@ -1,5 +1,6 @@
 """Independent brute-force references shared by layer and acceptance tests,
-and the entry-sum loss the gradient tests share."""
+the entry-sum loss the gradient tests share, and the region-cache recorder
+the epoch-lag tests share."""
 
 import numpy as np
 
@@ -65,3 +66,20 @@ def entry_sum(x):
     """The sum of ``x``'s entries as a 1x1 tensor, ``1' X 1`` from two matmuls."""
     n, d = x.shape
     return matmul(matmul(Tensor(np.ones((1, n))), x), Tensor(np.ones((d, 1))))
+
+
+def record_caches(model):
+    """Wrap ``model.predict_batch`` to record ``(cache.epoch, cache bytes)``
+    at every call, training steps and validation alike; returns the list the
+    records go to.  The bytes cover every region's cached row, in region
+    order."""
+    seen = []
+    predict_batch = model.predict_batch
+
+    def recording(prepared, region_ids, cache, record=None):
+        rows = tuple((rid, cache.reps[rid].tobytes()) for rid in sorted(cache.reps))
+        seen.append((cache.epoch, rows))
+        return predict_batch(prepared, region_ids, cache, record)
+
+    model.predict_batch = recording
+    return seen

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from reference_impl import dense_egat_reference, random_arc_graph
+from reference_impl import dense_egat_reference, random_arc_graph, record_caches
 
 from roadcarbon.config import RunConfig
 from roadcarbon.data import split_dataset
@@ -256,10 +256,11 @@ def test_criterion_8_epoch_lag_semantics():
     stats = fit_normalization(dataset, splits[0])
     model = EmissionModel(config, stats)
     prepared = prepare_dataset(dataset, stats, hops=config.layers)
-    result = train(model, prepared, splits, config, instrument=True)
+    seen = record_caches(model)
+    result = train(model, prepared, splits, config)
     one_refresh_per_epoch = result.cache_refreshes == len(result.epoch_log)
     by_epoch = {}
-    for epoch, fp in result.cache_fingerprints:
+    for epoch, fp in seen:
         by_epoch.setdefault(epoch, set()).add(fp)
     constant_within = all(len(fps) == 1 for fps in by_epoch.values())
     ok = one_refresh_per_epoch and constant_within

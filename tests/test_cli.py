@@ -1,6 +1,8 @@
+import argparse
 import base64
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from roadcarbon import cli
 from roadcarbon.cli import main
 from roadcarbon.config import ConfigError, RunConfig
 from roadcarbon.layers import stack_hetero
+from roadcarbon.synth import SynthParams
 from roadcarbon.tensor import Tensor, add, matmul, no_grad
 
 
@@ -262,6 +265,38 @@ def test_unreadable_dataset_file_exits_1(workspace, tmp_path, capsys, corrupt, m
     assert not out.exists()
 
 
+def test_windows_style_config_trains_as_plain_config(workspace, tmp_path, capsys):
+    # a leading UTF-8 byte-order mark and CRLF line endings, as Windows
+    # editors write them
+    root, _, cfg = workspace
+    windows = tmp_path / "windows.txt"
+    windows.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes().replace(b"\n", b"\r\n"))
+    assert RunConfig.from_file(windows) == RunConfig.from_file(cfg)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", windows, "--out", out) == 0
+    for name in ("metrics.jsonl", "train_summary.json"):
+        assert (out / name).read_bytes() == (root / "run" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: path.write_bytes(b"epochs=1\r\n# caf\xe9\r\n"),
+         "config file bad.txt:2: not valid UTF-8 (byte 0xe9)"),
+        (lambda path: path.mkdir(), "bad.txt: cannot read"),
+    ],
+    ids=["not-utf8", "directory"],
+)
+def test_unreadable_config_exits_1(workspace, tmp_path, capsys, write, message):
+    _, data, _ = workspace
+    cfg = tmp_path / "bad.txt"
+    write(cfg)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--data", data, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_round_trips_losslessly(tmp_path):
     config = RunConfig(
         data_dir="/tmp/x", out_dir="/tmp/y", layers=4, layers_road=2, hidden=32,
@@ -333,6 +368,33 @@ def test_train_bad_out_dir_exits_1_before_loading(workspace, tmp_path, monkeypat
     err = capsys.readouterr().err
     assert f"out_dir {out}: {blocker} is not a directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+@pytest.mark.parametrize("case", ["file", "parent-file"])
+def test_gen_synth_bad_out_exits_1_before_generating(tmp_path, monkeypatch, capsys, case):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker if case == "file" else blocker / "data"
+
+    def not_reached(params):
+        raise AssertionError("the world was generated before --out was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic", not_reached)
+    assert run_cli("gen-synth", "--out", out, "--regions", 2) == 1
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_synth_params_fields_are_the_gen_synth_flags():
+    # a world parameter comes with its flag, or is a module constant
+    (gen_synth,) = (
+        action.choices["gen-synth"]
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    dests = {a.dest for a in gen_synth._actions} - {"help", "out"}
+    assert dests == {f.name for f in fields(SynthParams)}
 
 
 def strict_json(text):

@@ -774,7 +774,7 @@ def test_lone_region_ego_is_its_live_row_alone():
     # no cached rows: the union is the target's live row and no arcs
     ds = generate_synthetic(SynthParams(n_regions=1, seed=4, grid_side=3))
     stats = fit_normalization(ds, ds.region_ids)
-    prep = prepare_dataset(ds, stats)
+    prep = prepare_dataset(ds, stats, hops=4)
     (region_id,) = ds.region_ids
     assert prep.egos[region_id].nodes.size == 1
     assert prep.region_spatial_src.size == prep.region_od_src.size == 0
@@ -1096,7 +1096,7 @@ def test_prepare_rejects_region_without_intersections():
     empty = ds.region_ids[1]
     ds.road_graphs[empty] = build_road_graph(empty, [], [])
     with pytest.raises(ValueError, match=f"region {empty} has no intersections"):
-        prepare_dataset(ds, stats)
+        prepare_dataset(ds, stats, hops=4)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)

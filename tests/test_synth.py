@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from roadcarbon.config import ConfigError
 from roadcarbon.data import load_dataset, write_dataset
 from roadcarbon.graphs import ROAD_CLASSES, Hierarchy, ODFlow, build_road_graph
 from roadcarbon.synth import (
@@ -236,12 +235,6 @@ def test_generated_graphs_connected():
                     seen.add(v)
                     stack.append(v)
         assert len(seen) == graph.n_nodes, rid
-
-
-@pytest.mark.parametrize("jitter", [-0.1, 1.0])
-def test_extent_jitter_outside_unit_interval_rejected(jitter):
-    with pytest.raises(ConfigError, match="extent_jitter"):
-        SynthParams(extent_jitter=jitter).validate()
 
 
 def test_betweenness_ranks_bridge_highest():

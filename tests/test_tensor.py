@@ -87,7 +87,7 @@ def test_vstack_backward_slices_grads():
 
 
 def test_leaky_relu_values():
-    out = T.leaky_relu(Tensor([-1.0, 0.0, 2.0]), 0.2)
+    out = T.leaky_relu(Tensor([-1.0, 0.0, 2.0]))
     assert np.allclose(out.values.ravel(), [-0.2, 0.0, 2.0])
 
 
@@ -98,7 +98,7 @@ def test_tanh_odd():
 def test_activation_gradients():
     rng = np.random.default_rng(1)
     x = param(rng.normal(size=(4, 3)), "x")
-    for fn in (lambda t: T.leaky_relu(t, 0.2), T.tanh):
+    for fn in (T.leaky_relu, T.tanh):
         err = finite_difference_check(lambda: entry_sum(fn(x.tensor)), [x])
         assert err < 1e-6
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_impl import record_caches
+
 from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
 from roadcarbon.model import EmissionModel, fit_normalization, prepare_dataset, refresh_region_cache
 from roadcarbon.synth import SynthParams, generate_synthetic
@@ -109,14 +111,16 @@ def test_no_region_level_train_does_zero_refreshes(setting):
 def test_epoch_lag_cache_constant_within_epoch(setting):
     ds, splits, stats, prep = setting
     cfg = CFG.with_overrides(epochs=3, batch_size=8)
-    # 5 train regions with batch 8 gives one batch; shrink batch to force several
-    cfg = cfg.with_overrides(batch_size=8)
+    # 5 train regions with batch 8 give one step per epoch; the validation
+    # call reads the cache a second time
     model = EmissionModel(cfg, stats)
-    result = train(model, prep, (splits[0], splits[1], splits[2]), cfg, instrument=True)
+    seen = record_caches(model)
+    result = train(model, prep, (splits[0], splits[1], splits[2]), cfg)
     assert result.cache_refreshes == 3
     by_epoch = {}
-    for epoch, fp in result.cache_fingerprints:
+    for epoch, fp in seen:
         by_epoch.setdefault(epoch, set()).add(fp)
+    assert sorted(by_epoch) == [0, 1, 2]
     for epoch, fps in by_epoch.items():
         assert len(fps) == 1, f"cache changed within epoch {epoch}"
 
