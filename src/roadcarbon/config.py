@@ -6,7 +6,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .data import _utf8_problem, atomic_write
+from .data import _LINE_BREAK, _utf8_problem, atomic_write
 
 LAYER_CHOICES = (2, 3, 4)
 BATCH_CHOICES = (8, 16, 32, 64)
@@ -135,7 +135,8 @@ class RunConfig:
         known = {f.name: f.type for f in fields(RunConfig)}
         data = {}
         first_line = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        # lines break only at \r\n, \r and \n, as in the dataset CSVs
+        for lineno, raw in enumerate(_LINE_BREAK.split(text), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, attend, hstack, segment_max
+from .tensor import Arcs, Tensor, attend, hstack, segment_max
 
 logger = logging.getLogger(__name__)
 
@@ -160,15 +160,14 @@ class ODFlow:
 def pool(phi: str, rows: Tensor, src, dst, n: int) -> Tensor:
     """Row i pools ``rows[src[k]]`` over every k with ``dst[k] == i``;
     groups without entries give zero rows."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    arcs = Arcs(src, dst, n, rows.shape[0])
     if phi == "sum":
-        return attend(rows, Tensor(np.ones((src.size, 1))), src, dst, n)
+        return attend(rows, Tensor(np.ones((arcs.m, 1))), arcs)
     if phi == "mean":
-        counts = np.bincount(dst, minlength=n).astype(np.float64)
-        return attend(rows, Tensor(1.0 / counts[dst, None]), src, dst, n)
+        counts = np.bincount(arcs.dst, minlength=n).astype(np.float64)
+        return attend(rows, Tensor(1.0 / counts[arcs.dst, None]), arcs)
     if phi == "max":
-        return segment_max(rows, dst, n, src)
+        return segment_max(rows, arcs)
     raise ValueError(f"unknown pooling function {phi!r} (expected mean, sum or max)")
 
 

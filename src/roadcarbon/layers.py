@@ -30,6 +30,13 @@ arc features, then ``attention_fusion`` weighs the per-type node outputs
 per node, as in HAN's node-level then semantic-level attention.  The fusion
 is ``attend`` again: each stacked (tag, node) row is an arc into its node,
 weighted by the fusion softmax.
+
+The stacks take raw index arrays and check them once: ``stack_egat``
+builds one ``tensor.Arcs`` and its copy with self-loops before the first
+layer, ``stack_hetero`` one such pair per arc type and distinct layer
+prefix, and every layer's kernels read those.  ``egat_layer`` itself takes
+the pair, so a layer call checks only shapes; ``attention_fusion`` and
+``graphs.pool`` build one ``Arcs`` per call.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import numpy as np
 
 from .optim import Parameter, xavier_uniform, zeros
 from .tensor import (
+    Arcs,
     Tensor,
     add,
     arc_linear,
@@ -129,48 +137,45 @@ class AttentionRecord:
 def egat_layer(
     V: Tensor,
     E: Tensor,
-    arc_src,
-    arc_dst,
+    arcs: Arcs,
+    scored: Arcs,
     params: EgatParams,
     arcs_out: int | None = None,
-    rows_out: int | None = None,
 ) -> tuple[Tensor, Tensor | None, AttentionRecord]:
     """One convolution: returns updated nodes, updated arcs (None without an
     arc updater), attention record.
 
-    The node output covers the first ``rows_out`` rows of ``V``, all of
-    them by default: the rows the next layer reads.  Every arc must point
-    into them; ``V`` still serves as the sources, and only those rows get
-    self-loops.  The arc update covers the first ``arcs_out`` arcs, all of
-    them by default: the arcs the next layer reads.  A graph without arcs
-    takes the same path with zero-row arc tensors, so every parameter of the
-    layer still receives a (zero) gradient.
+    ``arcs`` read V's rows; ``scored`` is ``arcs.with_loops()``, the arcs
+    the layer scores and aggregates over, passed in so that a stack builds
+    it once.  The node output covers the first ``rows_out = arcs.n`` rows
+    of ``V``, the rows the next layer reads: every arc points into them,
+    ``V`` still serves as the sources, and only those rows get self-loops.
+    The arc update covers the first ``arcs_out`` arcs, all of them by
+    default: the arcs the next layer reads.  A graph without arcs takes the
+    same path with zero-row arc tensors, so every parameter of the layer
+    still receives a (zero) gradient.
     """
     n_in = V.shape[0]
-    n = n_in if rows_out is None else rows_out
-    src = np.asarray(arc_src, dtype=np.int64)
-    dst = np.asarray(arc_dst, dtype=np.int64)
-    m, d_e = src.shape[0], params.d_e
+    n, m, d_e = arcs.n, arcs.m, params.d_e
     if V.shape[1] != params.d_in:
         raise ValueError(f"node width {V.shape[1]} does not match layer d_in {params.d_in}")
     if E.shape != (m, d_e):
         raise ValueError(f"arc features {E.shape} do not match {m} arcs of width {d_e}")
-    if not 0 <= n <= n_in:
+    if n > n_in:
         raise ValueError(f"rows_out {n} is not within the {n_in} rows of V")
+    if scored.n != n or scored.m != m + n:
+        raise ValueError(f"scored arcs ({scored.m} into {scored.n}) are not {m} arcs plus {n} self-loops")
 
-    loops = np.arange(n, dtype=np.int64)
-    full_src = np.concatenate([src, loops])
-    full_dst = np.concatenate([dst, loops])
     ua = matmul(params.U.tensor, params.a.tensor)
-    scores = leaky_relu(arc_linear(V, E, full_src, full_dst, ua))
-    alpha = segment_softmax(scores, full_dst, n)
-    V_out = attend(matmul(V, params.W.tensor), alpha, full_src, full_dst, n)
+    scores = leaky_relu(arc_linear(V, E, scored, ua))
+    alpha = segment_softmax(scores, scored)
+    V_out = attend(matmul(V, params.W.tensor), alpha, scored)
     E_out = None
     if params.A is not None:
         k = m if arcs_out is None else arcs_out
-        E_out = arc_linear(V, row_prefix(E, k), src[:k], dst[:k], params.A.tensor)
+        E_out = arc_linear(V, row_prefix(E, k), arcs.prefix(k, n), params.A.tensor)
 
-    record = AttentionRecord(arc_alpha=alpha.values, arc_dst=full_dst)
+    record = AttentionRecord(arc_alpha=alpha.values, arc_dst=scored.dst)
     return V_out, E_out, record
 
 
@@ -194,10 +199,10 @@ def attention_fusion(
     n_tags = len(inputs)
 
     X = vstack([t for _, t in inputs])  # (n_tags*n) x d, tag-major
-    seg = np.tile(np.arange(n, dtype=np.int64), n_tags)
+    arcs = Arcs(np.arange(n_tags * n), np.tile(np.arange(n), n_tags), n, n_tags * n)
     scores = matmul(tanh(add(matmul(X, fusion.W.tensor), fusion.b.tensor)), fusion.c.tensor)
-    beta = segment_softmax(scores, seg, n)
-    out = attend(X, beta, np.arange(n_tags * n), seg, n)
+    beta = segment_softmax(scores, arcs)
+    out = attend(X, beta, arcs)
 
     record = AttentionRecord(
         beta=beta.values.reshape(n_tags, n).T,
@@ -223,9 +228,11 @@ def stack_egat(
     The returned arcs are None when the last layer has no arc updater."""
     if not layer_params:
         raise ValueError("stack_egat needs at least one layer")
+    arcs = Arcs(arc_src, arc_dst, V.shape[0])
+    scored = arcs.with_loops()
     records = []
     for params in layer_params:
-        V, E, rec = egat_layer(V, E, arc_src, arc_dst, params)
+        V, E, rec = egat_layer(V, E, arcs, scored, params)
         records.append(rec)
     return V, E, records
 
@@ -267,15 +274,20 @@ def stack_hetero(
         for tag, src, _, _ in typed_arcs
     }
     feats = {tag: row_prefix(f, counts[tag][0]) for tag, _, _, f in typed_arcs}
+    full = {tag: Arcs(src, dst, V.shape[0]) for tag, src, dst, _ in typed_arcs}
+    pairs: dict[tuple[str, int, int, int], tuple[Arcs, Arcs]] = {}
     records = []
     for layer, params_by_tag in enumerate(layer_params):
         outs: list[tuple[str, Tensor]] = []
         per_type: dict[str, AttentionRecord] = {}
-        for tag, src, dst, _ in typed_arcs:
-            k = counts[tag][layer]
+        for tag in full:
+            key = (tag, counts[tag][layer], rows[layer], V.shape[0])
+            if key not in pairs:
+                arcs = full[tag].prefix(*key[1:])
+                pairs[key] = arcs, arcs.with_loops()
             arcs_out = counts[tag][layer + 1] if layer + 1 < depth else None
             v_out, feats[tag], per_type[tag] = egat_layer(
-                V, feats[tag], src[:k], dst[:k], params_by_tag[tag], arcs_out, rows[layer]
+                V, feats[tag], *pairs[key], params_by_tag[tag], arcs_out
             )
             outs.append((tag, v_out))
         if len(outs) == 1:

@@ -28,9 +28,17 @@ first, so each region layer outputs a row prefix, ``row_prefix`` takes the
 arc features a layer reads, and a gather elsewhere is ``attend`` with unit
 weights.
 
+The four graph kernels read their arcs from an ``Arcs`` value, which
+converts and range-checks the endpoints and tests the identity case once
+when it is built; a kernel call checks only that its tensors' shapes meet
+the arcs.  A convolution stack builds its arc sets once and every layer's
+kernels read them.
+
 Every segment reduction uses one idiom: each (segment, column) cell of the
 output is a flat slot, and a 1-D ``np.bincount`` or ``ufunc.at`` over the
-slots reduces the input rows in input order.
+slots reduces the input rows in input order.  Each reduction builds its
+slot index and drops it on return: no backward closure holds an m x d
+index for the rest of the step.
 """
 
 from __future__ import annotations
@@ -231,18 +239,93 @@ def row_prefix(x: Tensor, k: int) -> Tensor:
     return _result(x.values[:k], (x,), backward_fn, "row_prefix")
 
 
-def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
+def _below(ids: np.ndarray, bound: int) -> bool:
+    """Whether every int64 id lies in [0, bound), in one reduction: a
+    negative id read as uint64 exceeds any bound."""
+    return ids.size == 0 or ids.view(np.uint64).max() < bound
+
+
+class Arcs:
+    """An arc set checked and converted once, then read by every kernel call.
+
+    Arc a runs from source row ``src[a]``, one of ``rows``, into output row
+    ``dst[a]``, one of ``n``; ``rows`` defaults to ``n``.  The constructor
+    converts the endpoints to int64 and checks their shapes and ranges, so
+    the kernels that take an ``Arcs`` check only the tensor shapes that meet
+    it.  ``identity`` marks sources that list all ``rows`` rows in order,
+    one arc per row, which ``attend`` and ``segment_max`` read in place.
+    ``with_loops`` and ``prefix`` derive the arc sets a convolution stack
+    reads without checking again.  No scatter index is kept: each kernel
+    call builds its own and drops it, so none outlives a step.
+    """
+
+    __slots__ = ("src", "dst", "m", "n", "rows", "identity")
+
+    def __init__(self, src, dst, n: int, rows: int | None = None):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        rows = n if rows is None else rows
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ValueError(f"arcs: src {src.shape} and dst {dst.shape} must be equal 1-D")
+        if n < 0 or rows < 0:
+            raise ValueError(f"arcs: negative output row count {n} or source row count {rows}")
+        if not _below(src, rows):
+            raise ValueError(f"arcs: arc source out of range for {rows} rows")
+        if not _below(dst, n):
+            raise ValueError(f"arcs: arc destination out of range for {n} rows")
+        self._set(src, dst, n, rows)
+
+    def _set(self, src: np.ndarray, dst: np.ndarray, n: int, rows: int) -> None:
+        self.src, self.dst, self.m, self.n, self.rows = src, dst, src.size, n, rows
+        self.identity = src.size == rows and np.array_equal(src, np.arange(rows))
+
+    @staticmethod
+    def _unchecked(src: np.ndarray, dst: np.ndarray, n: int, rows: int) -> "Arcs":
+        arcs = Arcs.__new__(Arcs)
+        arcs._set(src, dst, n, rows)
+        return arcs
+
+    def with_loops(self) -> "Arcs":
+        """These arcs followed by one self-loop per output row, ``i -> i``
+        for i < n.  The loops read source row i, so n must not exceed
+        ``rows``; ``layers.egat_layer`` checks that."""
+        loops = np.arange(self.n, dtype=np.int64)
+        src, dst = np.concatenate([self.src, loops]), np.concatenate([self.dst, loops])
+        return Arcs._unchecked(src, dst, self.n, self.rows)
+
+    def prefix(self, k: int, n: int, rows: int | None = None) -> "Arcs":
+        """The first ``k`` arcs, read from the first ``rows`` source rows (all
+        of them by default) into the first ``n`` output rows; these arcs
+        themselves when that is all of them.  Only a side that loses rows
+        is checked: ``dst < n`` when n cuts output rows off, ``src < rows``
+        when ``rows`` cuts source rows off."""
+        rows = self.rows if rows is None else rows
+        if not (0 <= k <= self.m and 0 <= n <= self.n and 0 <= rows <= self.rows):
+            raise ValueError(
+                f"arcs: prefix of {k} arcs from {rows} rows into {n} is not within "
+                f"{self.m} arcs from {self.rows} rows into {self.n}"
+            )
+        if (k, n, rows) == (self.m, self.n, self.rows):
+            return self
+        src, dst = self.src[:k], self.dst[:k]
+        if n < self.n and not _below(dst, n):
+            raise ValueError(f"arcs: arc destination out of range for {n} rows")
+        if rows < self.rows and not _below(src, rows):
+            raise ValueError(f"arcs: arc source out of range for {rows} rows")
+        return Arcs._unchecked(src, dst, n, rows)
+
+
+def arc_linear(V: Tensor, E: Tensor, arcs: Arcs, M: Tensor) -> Tensor:
     """Rows ``[V[dst] | E | V[src]] @ M``, one per arc, without the triple.
 
-    ``M`` stacks the destination, arc and source row blocks (d_in, d_e and
-    d_in rows).  ``E`` covers the first arcs; arcs past its rows (padded
-    self-loops) have zero arc features, so their arc term vanishes.  The
-    output is ``(V M_d)[dst] + (V M_s)[src]`` plus ``E M_e`` on E's rows;
-    backward scatters the upstream rows to destination and source nodes
-    once each, then takes node-count matmuls.
+    Both endpoints index V's rows.  ``M`` stacks the destination, arc and
+    source row blocks (d_in, d_e and d_in rows).  ``E`` covers the first
+    arcs; arcs past its rows (padded self-loops) have zero arc features, so
+    their arc term vanishes.  The output is ``(V M_d)[dst] + (V M_s)[src]``
+    plus ``E M_e`` on E's rows; backward scatters the upstream rows to
+    destination and source nodes once each, then takes node-count matmuls.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = arcs.src, arcs.dst
     n, d_in = V.shape
     m_e, d_e = E.shape
     if M.shape[0] != 2 * d_in + d_e:
@@ -250,12 +333,12 @@ def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
             f"arc_linear: M {M.shape} needs 2*{d_in} + {d_e} rows for nodes {V.shape} "
             f"and arcs {E.shape}"
         )
-    if src.shape != dst.shape or src.ndim != 1:
-        raise ValueError(f"arc_linear: src {src.shape} and dst {dst.shape} must be equal 1-D")
-    if m_e > src.size:
-        raise ValueError(f"arc_linear: arc features {E.shape} outnumber the {src.size} arcs")
-    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise ValueError(f"arc_linear: arc endpoint out of range for {n} nodes")
+    if m_e > arcs.m:
+        raise ValueError(f"arc_linear: arc features {E.shape} outnumber the {arcs.m} arcs")
+    if arcs.rows != n or arcs.n > n:
+        raise ValueError(
+            f"arc_linear: arcs from {arcs.rows} rows into {arcs.n} do not index nodes {V.shape}"
+        )
     M_d, M_e, M_s = M.values[:d_in], M.values[d_in : d_in + d_e], M.values[d_in + d_e :]
     out_values = (V.values @ M_d)[dst] + (V.values @ M_s)[src]
     out_values[:m_e] += E.values @ M_e
@@ -279,32 +362,24 @@ def arc_linear(V: Tensor, E: Tensor, src, dst, M: Tensor) -> Tensor:
     return _result(out_values, (V, E, M), backward_fn, "arc_linear")
 
 
-def attend(H: Tensor, w: Tensor, src, dst, n: int) -> Tensor:
-    """Row i is ``sum over arcs a with dst[a] == i of w[a] * H[src[a]]``.
+def attend(H: Tensor, w: Tensor, arcs: Arcs) -> Tensor:
+    """Row i of the ``arcs.n`` output rows is ``sum over arcs a with
+    dst[a] == i of w[a] * H[src[a]]``.
 
-    One arc-weighted gather-scatter: ``w`` is an (arcs x 1) column,
-    ``src`` indexes H's rows and ``dst`` the n output rows; destinations
-    without arcs give zero rows.  Backward gathers the upstream rows per arc
-    and gathers ``H[src]`` again instead of keeping it from forward, so
-    the node holds no arc-count matrix between the passes.  When ``src``
-    lists H's rows in order, one arc per row (pooled members, fused
-    inputs), ``H[src]`` is H itself: nothing is gathered, and H's gradient
-    is the per-arc rows with no scatter.
+    One arc-weighted gather-scatter: ``w`` is an (arcs x 1) column and
+    ``src`` indexes H's rows; destinations without arcs give zero rows.
+    Backward gathers the upstream rows per arc and gathers ``H[src]`` again
+    instead of keeping it from forward, so the node holds no arc-count
+    matrix between the passes.  When the sources are the identity (pooled
+    members, fused inputs), ``H[src]`` is H itself: nothing is gathered,
+    and H's gradient is the per-arc rows with no scatter.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst, n, identity = arcs.src, arcs.dst, arcs.n, arcs.identity
+    if w.shape != (arcs.m, 1):
+        raise ValueError(f"attend: weights {w.shape} must be a column of one row per arc ({arcs.m})")
     rows = H.shape[0]
-    if src.shape != dst.shape or src.ndim != 1:
-        raise ValueError(f"attend: src {src.shape} and dst {dst.shape} must be equal 1-D")
-    if w.shape != (src.size, 1):
-        raise ValueError(f"attend: weights {w.shape} must be a column of one row per arc ({src.size})")
-    if n < 0:
-        raise ValueError(f"attend: negative output row count {n}")
-    if src.size and (src.min() < 0 or src.max() >= rows):
-        raise ValueError(f"attend: arc source out of range for {rows} rows")
-    if dst.size and (dst.min() < 0 or dst.max() >= n):
-        raise ValueError(f"attend: arc destination out of range for {n} rows")
-    identity = src.size == rows and np.array_equal(src, np.arange(rows))
+    if rows != arcs.rows:
+        raise ValueError(f"attend: {rows} rows of H for arcs from {arcs.rows} rows")
 
     def sources():
         return H.values if identity else H.values[src]
@@ -344,23 +419,22 @@ def tanh(x: Tensor) -> Tensor:
     return _result(out_values, (x,), backward_fn, "tanh")
 
 
-def segment_softmax(scores: Tensor, segment_of, n_segments: int) -> Tensor:
-    """Softmax of an Ex1 score column taken independently within each segment.
+def segment_softmax(scores: Tensor, arcs: Arcs) -> Tensor:
+    """Softmax of an Ex1 score column, one score per arc, taken
+    independently over the arcs into each of the ``arcs.n`` output rows.
 
-    Uses max-subtraction for overflow safety.  Every segment id that appears
-    must be < n_segments; ids that never appear simply yield no outputs.
+    Uses max-subtraction for overflow safety; output rows without arcs
+    simply yield no outputs.
     """
+    seg, n_segments = arcs.dst, arcs.n
     if n_segments <= 0:
         raise ValueError("segment_softmax: empty segment id space")
     if scores.shape[1] != 1:
         raise ValueError(f"segment_softmax expects an Ex1 column, got {scores.shape}")
-    seg = np.asarray(segment_of, dtype=np.int64)
     if seg.shape[0] != scores.shape[0]:
         raise ValueError("segment_softmax: one segment id per score required")
     if seg.size == 0:
         raise ValueError("segment_softmax: no scores to normalize")
-    if seg.min() < 0 or seg.max() >= n_segments:
-        raise ValueError(f"segment id out of range [0, {n_segments})")
 
     x = scores.values.ravel()
     seg_max = np.full(n_segments, -np.inf)
@@ -380,26 +454,21 @@ def segment_softmax(scores: Tensor, segment_of, n_segments: int) -> Tensor:
     return _result(out_values, (scores,), backward_fn, "segment_softmax")
 
 
-def segment_max(values: Tensor, segment_of, n_segments: int, src=None) -> Tensor:
-    """Per-segment column-wise max of the rows ``values[src]``, row k going
-    to segment ``segment_of[k]``; empty segments give zero rows.
+def segment_max(values: Tensor, arcs: Arcs) -> Tensor:
+    """Per-output-row column-wise max of the rows ``values[src]``, arc a's
+    row going to output row ``dst[a]``; output rows without arcs give zero
+    rows.
 
-    ``src`` defaults to every row in order.  As in ``attend``, rows listed
-    in order are read in place; otherwise the gathered rows live through
-    forward only, and backward scatter-adds to the source rows.  Gradient
-    routes to the first gathered row attaining the maximum in each
-    (segment, column) slot; a NaN counts as the maximum, as in ``argmax``.
+    As in ``attend``, identity sources are read in place; otherwise the
+    gathered rows live through forward only, and backward scatter-adds to
+    the source rows.  Gradient routes to the first gathered row attaining
+    the maximum in each (output row, column) slot; a NaN counts as the
+    maximum, as in ``argmax``.
     """
     rows, d = values.shape
-    seg = np.asarray(segment_of, dtype=np.int64)
-    src = np.arange(rows) if src is None else np.asarray(src, dtype=np.int64)
-    if seg.shape != src.shape:
-        raise ValueError("segment_max: one segment id per gathered row required")
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise ValueError(f"segment id out of range [0, {n_segments})")
-    if src.size and (src.min() < 0 or src.max() >= rows):
-        raise ValueError(f"segment_max: source row out of range for {rows} rows")
-    identity = src.size == rows and np.array_equal(src, np.arange(rows))
+    src, seg, n_segments, identity = arcs.src, arcs.dst, arcs.n, arcs.identity
+    if rows != arcs.rows:
+        raise ValueError(f"segment_max: {rows} rows of values for arcs from {arcs.rows} rows")
     slots = _slots(seg, d)
     flat = (values.values if identity else values.values[src]).ravel()
     best = np.full(n_segments * d, -np.inf)

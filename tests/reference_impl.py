@@ -1,10 +1,10 @@
 """Independent brute-force references shared by layer and acceptance tests,
-the entry-sum loss the gradient tests share, and the region-cache recorder
-the epoch-lag tests share."""
+the arc sets and entry-sum loss the kernel and gradient tests share, and
+the region-cache recorder the epoch-lag tests share."""
 
 import numpy as np
 
-from roadcarbon.tensor import Tensor, attend, matmul
+from roadcarbon.tensor import Arcs, Tensor, attend, matmul
 
 
 def dense_egat_reference(V, E, src, dst, params, slope=0.2):
@@ -55,11 +55,25 @@ def random_arc_graph(rng, n, d_in=3, d_e=2):
     return V, E, src, dst
 
 
+def layer_arcs(src, dst, n, rows=None):
+    """The two arc sets ``egat_layer`` takes: the arcs from ``rows`` rows
+    (default n) into the first n, and the same arcs with self-loops."""
+    arcs = Arcs(src, dst, n, rows)
+    return arcs, arcs.with_loops()
+
+
+def in_order(seg, n_seg):
+    """Arcs that read every row in order, row k into segment ``seg[k]``."""
+    seg = np.asarray(seg, dtype=np.int64)
+    return Arcs(np.arange(seg.size), seg, n_seg, seg.size)
+
+
 def gather(x, idx):
     """Rows ``x[idx]``, repeats allowed, as ``attend`` with unit weights:
     one arc per gathered row, so backward scatter-adds to the source rows."""
     idx = np.asarray(idx, dtype=np.int64)
-    return attend(x, Tensor(np.ones((idx.size, 1))), idx, np.arange(idx.size), idx.size)
+    arcs = Arcs(idx, np.arange(idx.size), idx.size, x.shape[0])
+    return attend(x, Tensor(np.ones((idx.size, 1))), arcs)
 
 
 def entry_sum(x):

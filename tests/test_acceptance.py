@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from reference_impl import dense_egat_reference, random_arc_graph, record_caches
+from reference_impl import dense_egat_reference, layer_arcs, random_arc_graph, record_caches
 
 from roadcarbon.config import RunConfig
 from roadcarbon.data import split_dataset
@@ -96,7 +96,7 @@ def test_criterion_2_attention_invariants():
             f"t{trial}", 3, 2, d_out=3, d_e_out=2, d_att=4,
             rng=np.random.default_rng(trial),
         )
-        _, _, rec = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+        _, _, rec = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, n), params)
         sums = np.bincount(rec.arc_dst, weights=rec.arc_alpha.ravel(), minlength=n)
         worst_alpha = max(worst_alpha, np.abs(sums - 1.0).max())
 
@@ -128,7 +128,7 @@ def test_criterion_3_brute_force_equivalence():
             f"t{trial}", 3, 2, d_out=5, d_e_out=4, d_att=4,
             rng=np.random.default_rng(2000 + trial),
         )
-        v_fast, e_fast, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+        v_fast, e_fast, _ = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, n), params)
         v_ref, e_ref = dense_egat_reference(V, E, src, dst, params)
         worst = max(
             worst,

@@ -316,6 +316,20 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.from_file(path)
 
 
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\x0c"], ids=["nel", "ls", "ff"])
+def test_config_breaks_lines_only_at_cr_and_lf(tmp_path, sep):
+    # a data_dir holding a Unicode line separator stays on its line, as
+    # the dataset CSVs read it, and errors cite the file's own line numbers
+    data_dir = f"/data/caf{sep}e"
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"data_dir={data_dir}\r\nbogus_key=3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"cfg\.txt:2: unknown config key 'bogus_key'"):
+        RunConfig.from_file(path)
+    config = RunConfig(data_dir=data_dir)
+    config.to_file(path)
+    assert RunConfig.from_file(path) == config
+
+
 def test_config_validation_domains():
     with pytest.raises(ConfigError):
         RunConfig(lr=0.9).validate()

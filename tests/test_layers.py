@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import dense_egat_reference, entry_sum, random_arc_graph
+from reference_impl import dense_egat_reference, entry_sum, in_order, layer_arcs, random_arc_graph
 
 from roadcarbon.layers import (
     EgatParams,
@@ -13,7 +13,7 @@ from roadcarbon.layers import (
     stack_hetero,
 )
 from roadcarbon.optim import finite_difference_check
-from roadcarbon.tensor import Tensor, add, backward, mse_loss, row_prefix
+from roadcarbon.tensor import Arcs, Tensor, add, backward, mse_loss, row_prefix
 
 
 def make_params(prefix, d_in, d_e, d_out=None, d_att=4, seed=0):
@@ -26,7 +26,7 @@ def test_single_node_no_arcs_is_self_transform():
     params = make_params("p", 3, 2)
     V = Tensor([[1.0, -2.0, 0.5]])
     E = Tensor(np.zeros((0, 2)))
-    V_out, E_out, rec = egat_layer(V, E, [], [], params)
+    V_out, E_out, rec = egat_layer(V, E, *layer_arcs([], [], 1), params)
     assert np.allclose(V_out.values, V.values @ params.W.values)
     assert rec.arc_alpha[0, 0] == 1.0
     assert E_out.shape == (0, 2)
@@ -37,8 +37,9 @@ def test_layer_without_arc_updater_returns_no_arcs():
     V, E, src, dst = random_arc_graph(rng, 6)
     full = make_params("p", 3, 2)
     terminal = EgatParams(full.W, full.U, full.a, A=None)
-    v_full, _, _ = egat_layer(Tensor(V), Tensor(E), src, dst, full)
-    v_term, e_term, _ = egat_layer(Tensor(V), Tensor(E), src, dst, terminal)
+    arcs = layer_arcs(src, dst, 6)
+    v_full, _, _ = egat_layer(Tensor(V), Tensor(E), *arcs, full)
+    v_term, e_term, _ = egat_layer(Tensor(V), Tensor(E), *arcs, terminal)
     assert e_term is None
     assert np.array_equal(v_full.values, v_term.values)
     assert [p.name for p in terminal.parameters()] == ["p.W", "p.U", "p.a"]
@@ -65,7 +66,7 @@ def test_symmetric_nodes_get_equal_outputs():
     params = make_params("p", 2, 1)
     V = Tensor([[0.3, -0.8], [0.3, -0.8]])
     E = Tensor([[0.5], [0.5]])
-    V_out, _, _ = egat_layer(V, E, [0, 1], [1, 0], params)
+    V_out, _, _ = egat_layer(V, E, *layer_arcs([0, 1], [1, 0], 2), params)
     assert np.array_equal(V_out.values[0], V_out.values[1])
 
 
@@ -73,7 +74,7 @@ def test_alpha_sums_to_one_per_destination():
     rng = np.random.default_rng(0)
     V, E, src, dst = random_arc_graph(rng, 20)
     params = make_params("p", 3, 2)
-    _, _, rec = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+    _, _, rec = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, 20), params)
     sums = np.bincount(rec.arc_dst, weights=rec.arc_alpha.ravel(), minlength=20)
     assert np.all(np.abs(sums - 1.0) < 1e-9)
 
@@ -84,7 +85,7 @@ def test_egat_matches_dense_reference():
         n = int(rng.integers(2, 11))
         V, E, src, dst = random_arc_graph(rng, n)
         params = make_params("p", 3, 2, seed=trial)
-        V_out, E_out, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+        V_out, E_out, _ = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, n), params)
         V_ref, E_ref = dense_egat_reference(V, E, src, dst, params)
         assert np.max(np.abs(V_out.values - V_ref)) < 1e-10
         assert np.max(np.abs(E_out.values - E_ref)) < 1e-10
@@ -95,11 +96,11 @@ def test_egat_permutation_equivariance():
     n = 9
     V, E, src, dst = random_arc_graph(rng, n)
     params = make_params("p", 3, 2)
-    out, _, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+    out, _, _ = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, n), params)
     perm = rng.permutation(n)
     inv = np.empty(n, dtype=int)
     inv[perm] = np.arange(n)
-    out_p, _, _ = egat_layer(Tensor(V[perm]), Tensor(E), inv[src], inv[dst], params)
+    out_p, _, _ = egat_layer(Tensor(V[perm]), Tensor(E), *layer_arcs(inv[src], inv[dst], n), params)
     assert np.max(np.abs(out_p.values - out.values[perm])) < 1e-9
 
 
@@ -112,7 +113,7 @@ def test_egat_gradient_check():
     Et = Tensor(E)
 
     def f():
-        out, e_out, _ = egat_layer(Vt, Et, src, dst, params)
+        out, e_out, _ = egat_layer(Vt, Et, *layer_arcs(src, dst, 6), params)
         return mse_loss(entry_sum(out), entry_sum(e_out))
 
     assert finite_difference_check(f, params.parameters()) < 1e-6
@@ -121,7 +122,10 @@ def test_egat_gradient_check():
 def test_egat_dimension_mismatch():
     params = make_params("p", 3, 2)
     with pytest.raises(ValueError, match="d_in"):
-        egat_layer(Tensor(np.zeros((2, 5))), Tensor(np.zeros((0, 2))), [], [], params)
+        egat_layer(Tensor(np.zeros((2, 5))), Tensor(np.zeros((0, 2))), *layer_arcs([], [], 2), params)
+    arcs = Arcs([0], [1], 2)
+    with pytest.raises(ValueError, match="not 1 arcs plus 2 self-loops"):
+        egat_layer(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 2))), arcs, arcs, params)
 
 
 @pytest.mark.parametrize("k", (1, 4, 7, 12))
@@ -141,7 +145,7 @@ def test_egat_row_prefix_equals_first_rows_of_full_call(k):
         for p in params.parameters():
             p.tensor.grad = None
         Vt, Et = Tensor(V, requires_grad=True), Tensor(E, requires_grad=True)
-        v_out, e_out, rec = egat_layer(Vt, Et, src, dst, params, rows_out=rows_out)
+        v_out, e_out, rec = egat_layer(Vt, Et, *layer_arcs(src, dst, rows_out or n, n), params)
         rows = v_out if rows_out else row_prefix(v_out, k)
         backward(add(mse_loss(rows, upstream), mse_loss(e_out, arc_upstream)))
         grads = [Vt.grad, Et.grad] + [p.grad for p in params.parameters()]
@@ -160,7 +164,7 @@ def test_egat_rejects_more_output_rows_than_nodes():
     rng = np.random.default_rng(31)
     V, E, src, dst = random_arc_graph(rng, 5)
     with pytest.raises(ValueError, match="rows_out 6 is not within the 5 rows of V"):
-        egat_layer(Tensor(V), Tensor(E), src, dst, make_params("p", 3, 2), rows_out=6)
+        egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, 6, 5), make_params("p", 3, 2))
 
 
 def test_fusion_identical_inputs_is_identity_with_half_weights():
@@ -189,8 +193,8 @@ def test_fusion_shift_invariance():
     n, n_tags = 4, 2
     scores = rng.normal(size=(n_tags * n, 1))
     seg = np.tile(np.arange(n), n_tags)
-    beta1 = segment_softmax(Tensor(scores), seg, n).values
-    beta2 = segment_softmax(Tensor(scores + 7.25), seg, n).values
+    beta1 = segment_softmax(Tensor(scores), in_order(seg, n)).values
+    beta2 = segment_softmax(Tensor(scores + 7.25), in_order(seg, n)).values
     assert np.max(np.abs(beta1 - beta2)) <= 1e-12
 
 
@@ -253,7 +257,7 @@ def test_hetero_layer_identical_types_gives_half_beta():
         V, [("rn", src, dst, E), ("od", src, dst, E)], [{"rn": params, "od": params}], fusion
     )
     assert np.allclose(rec.fusion.beta, 0.5)
-    v_rn, _, _ = egat_layer(V, E, src, dst, params)
+    v_rn, _, _ = egat_layer(V, E, *layer_arcs(src, dst, 3), params)
     assert np.allclose(out.values, v_rn.values)
 
 
@@ -266,7 +270,7 @@ def test_hetero_layer_single_type_beta_is_one():
         V, [("rn", np.array([0]), np.array([1]), Tensor([[1.0]]))], [{"rn": params}], fusion
     )
     assert np.array_equal(rec.fusion.beta, np.ones((3, 1)))
-    v_rn, _, _ = egat_layer(V, Tensor([[1.0]]), np.array([0]), np.array([1]), params)
+    v_rn, _, _ = egat_layer(V, Tensor([[1.0]]), *layer_arcs([0], [1], 3), params)
     assert np.array_equal(out.values, v_rn.values)
 
 
@@ -274,7 +278,7 @@ def test_stack_egat_one_layer_equals_single_call():
     rng = np.random.default_rng(12)
     V, E, src, dst = random_arc_graph(rng, 5)
     params = make_params("p", 3, 2)
-    v1, e1, _ = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+    v1, e1, _ = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, 5), params)
     v2, e2, _ = stack_egat(Tensor(V), Tensor(E), src, dst, [params])
     assert np.array_equal(v1.values, v2.values)
     assert np.array_equal(e1.values, e2.values)
@@ -316,6 +320,38 @@ def test_stack_egat_three_layer_gradient():
         return mse_loss(entry_sum(out), entry_sum(e_out))
 
     assert finite_difference_check(f, params, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("stack", ["egat", "hetero"])
+def test_stack_builds_its_arc_sets_once_whatever_its_depth(monkeypatch, stack):
+    # a stack converts, range-checks and loops its arcs before the first
+    # layer; its layers' kernels read those arc sets and build none
+    built = []
+
+    def counted(method):
+        def wrapper(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            if out is not self:  # a prefix that keeps everything is the set itself
+                built.append(method.__name__)
+            return out
+
+        return wrapper
+
+    for name in ("__init__", "with_loops", "prefix"):
+        monkeypatch.setattr(Arcs, name, counted(getattr(Arcs, name)))
+    rng = np.random.default_rng(17)
+    V, E, src, dst = random_arc_graph(rng, 6, d_in=2, d_e=2)
+
+    def arc_sets_built(depth):
+        layers = [make_params(f"l{i}", 2, 2, seed=60 + i) for i in range(depth)]
+        built.clear()
+        if stack == "egat":
+            stack_egat(Tensor(V), Tensor(E), src, dst, layers)
+        else:
+            stack_hetero(Tensor(V), [("rn", src, dst, Tensor(E))], [{"rn": p} for p in layers], None)
+        return list(built)
+
+    assert arc_sets_built(2) == arc_sets_built(4) == ["__init__", "with_loops"]
 
 
 def test_stack_hetero_depth_and_gradient():
@@ -361,8 +397,9 @@ def test_stack_hetero_one_layer_equals_single_call():
     layer = {"rn": make_params("rn0", 2, 1, seed=50), "od": make_params("od0", 2, 1, seed=51)}
     typed = [("rn", src, dst, E_rn), ("od", src, dst, E_od)]
     stacked, _ = stack_hetero(V, typed, [layer], fusion)
-    v_rn, _, _ = egat_layer(V, E_rn, src, dst, layer["rn"])
-    v_od, _, _ = egat_layer(V, E_od, src, dst, layer["od"])
+    arcs = layer_arcs(src, dst, 4)
+    v_rn, _, _ = egat_layer(V, E_rn, *arcs, layer["rn"])
+    v_od, _, _ = egat_layer(V, E_od, *arcs, layer["od"])
     direct, _ = attention_fusion([("rn", v_rn), ("od", v_od)], fusion)
     assert np.array_equal(stacked.values, direct.values)
 
@@ -389,7 +426,7 @@ def test_egat_property_matches_dense_reference(n, m, d_in, d_e, d_out, d_att, wi
     if not with_A:
         params = EgatParams(params.W, params.U, params.a, A=None)
 
-    V_out, E_out, rec = egat_layer(Tensor(V), Tensor(E), src, dst, params)
+    V_out, E_out, rec = egat_layer(Tensor(V), Tensor(E), *layer_arcs(src, dst, n), params)
     assert np.max(np.abs(V_out.values - V_ref)) <= 1e-10 * (1 + np.abs(V_ref).max())
     if with_A:
         assert E_out.shape == E_ref.shape

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_impl import entry_sum, gather
+from reference_impl import entry_sum, gather, in_order
 
 from roadcarbon import tensor as T
 from roadcarbon.optim import Parameter, finite_difference_check
@@ -26,8 +26,7 @@ def mse_with_upstream(out, target):
 def segment_sum(x, seg, n_seg):
     """Rows of ``x`` summed by segment id, as the engine forms it: ``attend``
     with one unit-weight arc per row."""
-    seg = np.asarray(seg)
-    return T.attend(x, Tensor(np.ones((seg.size, 1))), np.arange(seg.size), seg, n_seg)
+    return T.attend(x, Tensor(np.ones((len(seg), 1))), in_order(seg, n_seg))
 
 
 def test_matmul_identity():
@@ -104,23 +103,23 @@ def test_activation_gradients():
 
 
 def test_segment_softmax_symmetry():
-    out = T.segment_softmax(Tensor([0.0, 0.0]), [0, 0], 1)
+    out = T.segment_softmax(Tensor([0.0, 0.0]), in_order([0, 0], 1))
     assert np.allclose(out.values.ravel(), [0.5, 0.5])
 
 
 def test_segment_softmax_analytic():
-    out = T.segment_softmax(Tensor([np.log(2.0), 0.0]), [0, 0], 1)
+    out = T.segment_softmax(Tensor([np.log(2.0), 0.0]), in_order([0, 0], 1))
     assert np.allclose(out.values.ravel(), [2.0 / 3.0, 1.0 / 3.0])
 
 
 def test_segment_softmax_single_element_segment():
-    out = T.segment_softmax(Tensor([123.0]), [0], 1)
+    out = T.segment_softmax(Tensor([123.0]), in_order([0], 1))
     assert out.values[0, 0] == 1.0
 
 
 def test_segment_softmax_empty_space_errors():
     with pytest.raises(ValueError, match="empty segment"):
-        T.segment_softmax(Tensor([1.0]), [0], 0)
+        T.segment_softmax(Tensor(np.zeros((0, 1))), in_order([], 0))
 
 
 def test_segment_softmax_sums_to_one():
@@ -128,7 +127,7 @@ def test_segment_softmax_sums_to_one():
     scores = Tensor(rng.normal(size=(40, 1)) * 10)
     seg = rng.integers(0, 7, size=40)
     seg[:7] = np.arange(7)  # every segment non-empty
-    out = T.segment_softmax(scores, seg, 7)
+    out = T.segment_softmax(scores, in_order(seg, 7))
     sums = np.bincount(seg, weights=out.values.ravel(), minlength=7)
     assert np.all(np.abs(sums - 1.0) < 1e-9)
 
@@ -140,7 +139,7 @@ def test_segment_softmax_gradient():
     target = Tensor(rng.normal(size=(9, 1)))
 
     def f():
-        return T.mse_loss(T.segment_softmax(x.tensor, seg, 3), target)
+        return T.mse_loss(T.segment_softmax(x.tensor, in_order(seg, 3)), target)
 
     assert finite_difference_check(f, [x]) < 1e-6
 
@@ -196,14 +195,14 @@ def test_segment_max_matches_group_by_oracle_and_grad():
     vals = rng.normal(size=(20, 4))
     seg = rng.integers(0, 5, size=20)
     seg[:5] = np.arange(5)
-    out = T.segment_max(Tensor(vals), seg, 5)
+    out = T.segment_max(Tensor(vals), in_order(seg, 5))
     for g in range(5):
         assert np.allclose(out.values[g], vals[seg == g].max(axis=0))
     x = param(vals, "x")
     target = Tensor(rng.normal(size=(5, 4)))
 
     def f():
-        return T.mse_loss(T.segment_max(x.tensor, seg, 5), target)
+        return T.mse_loss(T.segment_max(x.tensor, in_order(seg, 5)), target)
 
     assert finite_difference_check(f, [x]) < 1e-6
 
@@ -264,7 +263,9 @@ def test_segment_max_property_matches_per_segment_loop(case):
     # the gradient goes to the first NaN, or else the first row attaining
     # the maximum, of each (segment, column) slot
     vals, seg, n_seg, target = case
-    got, grad, upstream = _value_and_grad(T.segment_max, vals, seg, n_seg, target)
+    got, grad, upstream = _value_and_grad(
+        lambda x, s, n: T.segment_max(x, in_order(s, n)), vals, seg, n_seg, target
+    )
     want = np.zeros((n_seg, vals.shape[1]))
     want_grad = np.zeros_like(vals)
     for s in range(n_seg):
@@ -288,10 +289,10 @@ def test_segment_max_of_source_rows_matches_gather_then_max(case, seed):
     vals, seg, n_seg, target = case
     src = np.random.default_rng(seed).integers(0, max(len(seg), 1), size=len(seg))
     got, grad, _ = _value_and_grad(
-        lambda x, s, n: T.segment_max(x, s, n, src), vals, seg, n_seg, target
+        lambda x, s, n: T.segment_max(x, T.Arcs(src, s, n, len(s))), vals, seg, n_seg, target
     )
     want, want_grad, _ = _value_and_grad(
-        lambda x, s, n: T.segment_max(gather(x, src), s, n), vals, seg, n_seg, target
+        lambda x, s, n: T.segment_max(gather(x, src), in_order(s, n)), vals, seg, n_seg, target
     )
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(grad, want_grad, equal_nan=True)
@@ -299,20 +300,26 @@ def test_segment_max_of_source_rows_matches_gather_then_max(case, seed):
 
 def test_segment_max_reads_rows_in_order_in_place():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.segment_max(x, [1, 0, 1], 2, np.arange(3))
+    arcs = T.Arcs(np.arange(3), [1, 0, 1], 2, 3)
+    assert arcs.identity
+    out = T.segment_max(x, arcs)
     assert out._parents == (x,)
     assert np.array_equal(out.values, [[2.0, 3.0], [4.0, 5.0]])
-    with pytest.raises(ValueError, match="one segment id per gathered row"):
-        T.segment_max(x, [0, 0], 1, np.arange(3))
-    with pytest.raises(ValueError, match="source row out of range"):
-        T.segment_max(x, [0], 1, [3])
+    with pytest.raises(ValueError, match="must be equal 1-D"):
+        T.Arcs(np.arange(3), [0, 0], 1, 3)
+    with pytest.raises(ValueError, match="source out of range"):
+        T.Arcs([3], [0], 1, 3)
+    with pytest.raises(ValueError, match="3 rows of values for arcs from 4 rows"):
+        T.segment_max(x, T.Arcs([3], [0], 1, 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=segmented_rows(width=1, min_rows=1, per_row=True))
 def test_segment_softmax_property_matches_per_segment_loop(case):
     vals, seg, n_seg, target = case
-    got, grad, upstream = _value_and_grad(T.segment_softmax, vals, seg, n_seg, target)
+    got, grad, upstream = _value_and_grad(
+        lambda x, s, n: T.segment_softmax(x, in_order(s, n)), vals, seg, n_seg, target
+    )
     want = np.zeros_like(vals)
     want_grad = np.zeros_like(vals)
     for s in range(n_seg):
@@ -330,7 +337,7 @@ def test_segment_softmax_property_matches_per_segment_loop(case):
 
 def test_segment_softmax_zero_rows_errors():
     with pytest.raises(ValueError, match="no scores"):
-        T.segment_softmax(Tensor(np.zeros((0, 1))), np.zeros(0, dtype=int), 3)
+        T.segment_softmax(Tensor(np.zeros((0, 1))), in_order([], 3))
 
 
 def test_row_prefix_forward_and_grad():
@@ -376,7 +383,7 @@ def _arc_linear_case(rng, n=5, m_e=6, loops=True, d_in=3, d_e=2, k=4):
 def test_arc_linear_forward_matches_explicit_triple():
     rng = np.random.default_rng(11)
     V, E, src, dst, M = _arc_linear_case(rng)
-    out = T.arc_linear(Tensor(V), Tensor(E), src, dst, Tensor(M))
+    out = T.arc_linear(Tensor(V), Tensor(E), T.Arcs(src, dst, len(V)), Tensor(M))
     want, *_ = arc_triple_oracle(V, E, src, dst, M, np.zeros((len(src), M.shape[1])))
     assert out.shape == want.shape
     assert np.max(np.abs(out.values - want)) <= 1e-12
@@ -386,10 +393,11 @@ def test_arc_linear_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     V, E, src, dst, M = _arc_linear_case(rng, n=4, m_e=5, k=2)
     v, e, w = param(V, "V"), param(E, "E"), param(M, "M")
+    arcs = T.Arcs(src, dst, len(V))
     target = Tensor(rng.normal(size=(len(src), 2)))
 
     def f():
-        return T.mse_loss(T.arc_linear(v.tensor, e.tensor, src, dst, w.tensor), target)
+        return T.mse_loss(T.arc_linear(v.tensor, e.tensor, arcs, w.tensor), target)
 
     assert finite_difference_check(f, [v, e, w]) < 1e-6
 
@@ -410,7 +418,7 @@ def test_arc_linear_property_matches_explicit_triple(n, m_e, loops, d_in, d_e, k
     rng = np.random.default_rng(seed)
     V, E, src, dst, M = _arc_linear_case(rng, n, m_e, loops, d_in, d_e, k)
     v, e, w = (Tensor(x, requires_grad=True) for x in (V, E, M))
-    out = T.arc_linear(v, e, src, dst, w)
+    out = T.arc_linear(v, e, T.Arcs(src, dst, n), w)
     loss, upstream = mse_with_upstream(out, rng.normal(size=(len(src), k)))
     backward(loss)
     want, dV, dE, dM = arc_triple_oracle(V, E, src, dst, M, upstream)
@@ -425,11 +433,13 @@ def test_arc_linear_property_matches_explicit_triple(n, m_e, loops, d_in, d_e, k
 def test_arc_linear_shape_errors_name_the_shapes():
     V, E = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1)))
     with pytest.raises(ValueError, match=r"M \(4, 1\).*\(3, 2\).*\(2, 1\)"):
-        T.arc_linear(V, E, [0, 1], [1, 2], Tensor(np.zeros((4, 1))))
+        T.arc_linear(V, E, T.Arcs([0, 1], [1, 2], 3), Tensor(np.zeros((4, 1))))
     with pytest.raises(ValueError, match=r"\(2, 1\) outnumber the 1 arcs"):
-        T.arc_linear(V, E, [0], [1], Tensor(np.zeros((5, 1))))
-    with pytest.raises(ValueError, match="out of range for 3 nodes"):
-        T.arc_linear(V, E, [0, 3], [1, 2], Tensor(np.zeros((5, 1))))
+        T.arc_linear(V, E, T.Arcs([0], [1], 3), Tensor(np.zeros((5, 1))))
+    with pytest.raises(ValueError, match="source out of range for 3 rows"):
+        T.Arcs([0, 3], [1, 2], 3)
+    with pytest.raises(ValueError, match=r"arcs from 4 rows into 4 do not index nodes \(3, 2\)"):
+        T.arc_linear(V, E, T.Arcs([0, 3], [1, 2], 4), Tensor(np.zeros((5, 1))))
 
 
 def attend_oracle(H, w, src, dst, n, upstream):
@@ -449,7 +459,7 @@ def test_attend_forward_matches_gather_multiply_scatter():
     rng = np.random.default_rng(13)
     H, w = rng.normal(size=(5, 3)), rng.normal(size=(8, 1))
     src, dst = rng.integers(0, 5, size=8), rng.integers(0, 4, size=8)
-    out = T.attend(Tensor(H), Tensor(w), src, dst, 4)
+    out = T.attend(Tensor(H), Tensor(w), T.Arcs(src, dst, 4, 5))
     want = np.zeros((4, 3))
     np.add.at(want, dst, H[src] * w)
     assert out.shape == (4, 3)
@@ -459,11 +469,11 @@ def test_attend_forward_matches_gather_multiply_scatter():
 def test_attend_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     h, w = param(rng.normal(size=(4, 3)), "H"), param(rng.normal(size=(7, 1)), "w")
-    src, dst = rng.integers(0, 4, size=7), rng.integers(0, 6, size=7)
+    arcs = T.Arcs(rng.integers(0, 4, size=7), rng.integers(0, 6, size=7), 6, 4)
     target = Tensor(rng.normal(size=(6, 3)))
 
     def f():
-        return T.mse_loss(T.attend(h.tensor, w.tensor, src, dst, 6), target)
+        return T.mse_loss(T.attend(h.tensor, w.tensor, arcs), target)
 
     assert finite_difference_check(f, [h, w]) < 1e-6
 
@@ -487,7 +497,9 @@ def test_attend_property_matches_arc_loop(rows, n, m, d, one_arc_per_row, seed):
     src = np.arange(rows) if one_arc_per_row else rng.integers(0, rows, size=m)
     dst = rng.integers(0, n, size=m)
     h, wt = Tensor(H, requires_grad=True), Tensor(w, requires_grad=True)
-    out = T.attend(h, wt, src, dst, n)
+    arcs = T.Arcs(src, dst, n, rows)
+    assert arcs.identity or not one_arc_per_row
+    out = T.attend(h, wt, arcs)
     loss, upstream = mse_with_upstream(out, rng.normal(size=(n, d)))
     backward(loss)
     want, dH, dw = attend_oracle(H, w, src, dst, n, upstream)
@@ -500,22 +512,48 @@ def test_attend_property_matches_arc_loop(rows, n, m, d, one_arc_per_row, seed):
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * (1 + np.abs(ref).max(initial=0.0))
 
 
+def test_arcs_derivations_keep_rows_and_check_only_the_cut():
+    arcs = T.Arcs([2, 0, 1, 3], [1, 0, 2, 0], 3, 4)
+    looped = arcs.with_loops()
+    assert looped.src.tolist() == [2, 0, 1, 3, 0, 1, 2]
+    assert looped.dst.tolist() == [1, 0, 2, 0, 0, 1, 2]
+    assert (looped.n, looped.rows, looped.identity) == (3, 4, False)
+    assert arcs.prefix(4, 3) is arcs
+    head = arcs.prefix(2, 2)
+    assert (head.src.tolist(), head.dst.tolist(), head.n, head.rows) == ([2, 0], [1, 0], 2, 4)
+    # the destination check runs only when the prefix cuts output rows off
+    with pytest.raises(ValueError, match="destination out of range for 1 rows"):
+        arcs.prefix(2, 1)
+    with pytest.raises(ValueError, match="source out of range for 2 rows"):
+        arcs.prefix(1, 3, 2)
+    tail = arcs.prefix(2, 3, 3)
+    assert (tail.n, tail.rows) == (3, 3)
+    for bad in ((5, 3), (2, 4), (2, 3, 5)):
+        with pytest.raises(ValueError, match="is not within 4 arcs from 4 rows into 3"):
+            arcs.prefix(*bad)
+    # no arcs into as many rows as there are sources: the loops are the identity
+    assert T.Arcs([], [], 3).with_loops().identity
+    assert T.Arcs([0, 1], [0, 1], 2).prefix(1, 1).identity is False
+
+
 def test_attend_shape_and_range_errors():
     H, w = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1)))
     with pytest.raises(ValueError, match="must be equal 1-D"):
-        T.attend(H, w, [0, 1], [1], 3)
+        T.Arcs([0, 1], [1], 3)
     with pytest.raises(ValueError, match=r"weights \(2, 1\).*\(3\)"):
-        T.attend(H, w, [0, 1, 2], [0, 1, 2], 3)
+        T.attend(H, w, T.Arcs([0, 1, 2], [0, 1, 2], 3))
     with pytest.raises(ValueError, match="weights"):
-        T.attend(H, Tensor(np.zeros((2, 2))), [0, 1], [0, 1], 3)
+        T.attend(H, Tensor(np.zeros((2, 2))), T.Arcs([0, 1], [0, 1], 3))
     with pytest.raises(ValueError, match="negative"):
-        T.attend(H, Tensor(np.zeros((0, 1))), [], [], -1)
+        T.Arcs([], [], -1, 3)
     with pytest.raises(ValueError, match="source out of range for 3 rows"):
-        T.attend(H, w, [0, 3], [0, 1], 2)
+        T.Arcs([0, 3], [0, 1], 2, 3)
     with pytest.raises(ValueError, match="source out of range"):
-        T.attend(H, w, [-1, 0], [0, 1], 2)
+        T.Arcs([-1, 0], [0, 1], 2, 3)
     with pytest.raises(ValueError, match="destination out of range for 2 rows"):
-        T.attend(H, w, [0, 1], [0, 2], 2)
+        T.Arcs([0, 1], [0, 2], 2, 3)
+    with pytest.raises(ValueError, match="3 rows of H for arcs from 4 rows"):
+        T.attend(H, w, T.Arcs([0, 1], [0, 1], 2, 4))
 
 
 def test_mse_loss_values():
