@@ -8,13 +8,15 @@ region-level graph is evaluated against cached neighbor vectors refreshed
 once per epoch; only the target region's own row is live so gradients flow
 through its full hierarchy while neighbors act as constants.
 
-``EmissionModel.predict_batch`` is the one forward path.  It runs a batch of
-regions as disjoint unions (one block-diagonal graph, every index shifted
-past the regions before it): one intra pass per union of at most
-``UNION_ROW_BUDGET`` road rows (nodes + arcs), one region-level pass over
-the union of the targets' egos, then one fusion and head.  Training runs
-each minibatch this way; ``predict_region`` is the one-region call, and
-a prepared region is its own one-region union.  Every region-level
+``EmissionModel.predict_batch`` runs a batch of regions as disjoint unions
+(one block-diagonal graph, every index shifted past the regions before
+it): one intra pass per union of at most ``UNION_ROW_BUDGET`` road rows
+(nodes + arcs), then ``predict_from_intra`` on the stacked intra rows: one
+region-level pass over the union of the targets' egos, one fusion and one
+head.  Training runs each minibatch this way; ``predict_region`` is the
+one-region call, and a prepared region is its own one-region union.
+``train.predict_split`` runs its intra rows one region at a time and the
+rest once per chunk of ``batch_size`` regions.  Every region-level
 subgraph is a ``RegionEgo`` carved by ``_union_egos``: each stored ego from
 the whole region graph, each batch's union from the targets' stored egos.
 """
@@ -742,11 +744,24 @@ class EmissionModel:
         """Normalized-space predictions, ``(len(region_ids), 1)`` in order.
 
         One intra pass per run of regions that fits ``UNION_ROW_BUDGET``,
-        one region-level pass over the union of the targets' egos, one
-        fusion and one head over all rows.
+        then ``predict_from_intra`` on the stacked rows.
         """
         runs = _budgeted_runs([prepared.regions[r] for r in region_ids])
         intra = vstack([self.intra_representation(run, record) for run in runs])
+        return self.predict_from_intra(prepared, region_ids, intra, cache, record)
+
+    def predict_from_intra(
+        self,
+        prepared: PreparedData,
+        region_ids: list[str],
+        intra: Tensor,
+        cache: RegionCache | None,
+        record: ForwardRecord | None = None,
+    ) -> Tensor:
+        """Normalized-space predictions from the targets' live intra rows,
+        ``intra`` in ``region_ids`` order: one region-level pass over the
+        union of the targets' egos, one fusion and one head over all rows.
+        """
         if not self.use_region:
             return self._head_forward(intra)
         inter = self.inter_representation(prepared, region_ids, intra, cache, record)

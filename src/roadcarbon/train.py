@@ -11,7 +11,7 @@ import numpy as np
 from .config import RunConfig
 from .model import EmissionModel, PreparedData, RegionCache, refresh_region_cache
 from .optim import Adam
-from .tensor import Tensor, backward, mse_loss, no_grad
+from .tensor import Tensor, backward, mse_loss, no_grad, vstack
 
 logger = logging.getLogger(__name__)
 
@@ -51,17 +51,24 @@ def predict_split(
     region_ids: list[str],
     cache: RegionCache | None,
 ) -> dict[str, float]:
-    """Normalized-space predictions, graph-free, one region at a time.
+    """Normalized-space predictions, graph-free, in ``region_ids`` order.
 
-    ``predict`` writes these.  The benchmark pins its intra passes per
-    predicted region at 2.0 (the cache refresh plus this pass), so this
-    stays per region until the benchmark changes; ``evaluate`` runs its
-    split as one batch.
+    ``predict`` writes these.  The ids run in chunks of ``batch_size``:
+    one intra pass per region, then one region-level pass, fusion and
+    head per chunk (``predict_from_intra``).  The intra passes stay one
+    region each because the benchmark pins them at 2.0 per predicted
+    region (the cache refresh plus this pass).  The chunks bound peak
+    memory: on the benchmark's 200-region world, one chunk of every
+    region raised peak RSS from 97-98 MB to 112 MB over chunks of 32.
     """
     preds = {}
+    size = model.config.batch_size
     with no_grad():
-        for rid in region_ids:
-            preds[rid] = float(model.predict_region(prepared, rid, cache).values[0, 0])
+        for lo in range(0, len(region_ids), size):
+            chunk = region_ids[lo : lo + size]
+            intra = vstack([model.intra_representation([prepared.regions[r]]) for r in chunk])
+            out = model.predict_from_intra(prepared, chunk, intra, cache).values[:, 0]
+            preds.update(zip(chunk, out.tolist()))
     return preds
 
 

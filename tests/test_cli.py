@@ -2,6 +2,8 @@ import argparse
 import base64
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +13,7 @@ from roadcarbon import cli
 from roadcarbon.cli import main
 from roadcarbon.config import ConfigError, RunConfig
 from roadcarbon.layers import stack_hetero
+from roadcarbon.model import EmissionModel, load_checkpoint, save_checkpoint
 from roadcarbon.synth import SynthParams
 from roadcarbon.tensor import Tensor, add, matmul, no_grad
 
@@ -589,6 +592,30 @@ def test_internal_value_error_exits_2(monkeypatch, caplog):
     monkeypatch.setitem(cli.COMMANDS, "gen-synth", faulty)
     assert run_cli("gen-synth", "--out", "unused") == 2
     assert "runtime failure" in caplog.text
+
+
+def test_predict_runs_the_region_level_once_per_batch(workspace, tmp_path, monkeypatch):
+    root, data, _ = workspace
+    model = load_checkpoint(root / "run" / "checkpoint.json")
+    model.config = model.config.with_overrides(batch_size=8)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(model, ckpt)
+    calls = Counter()
+    for name in ("intra_representation", "inter_representation"):
+        method = getattr(EmissionModel, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(EmissionModel, name, counted)
+    out = tmp_path / "preds.csv"
+    assert run_cli("predict", "--checkpoint", ckpt, "--data", data, "--out", out) == 0
+    n = len(out.read_text().splitlines()) - 1
+    assert n == 10
+    # one intra pass per region for the cache refresh and one for its row
+    assert calls["intra_representation"] == 2 * n
+    assert calls["inter_representation"] == math.ceil(n / 8)
 
 
 def test_failed_predict_keeps_previous_output(workspace, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from reference_impl import record_caches
 from roadcarbon.config import ABLATION_CHOICES, POOLING_CHOICES, RunConfig
 from roadcarbon.model import EmissionModel, fit_normalization, prepare_dataset, refresh_region_cache
 from roadcarbon.synth import SynthParams, generate_synthetic
-from roadcarbon.tensor import Tensor, backward, mse_loss
+from roadcarbon.tensor import Tensor, backward, mse_loss, no_grad
 from roadcarbon.train import Metrics, compute_metrics, evaluate, predict_split, train
 
 
@@ -143,14 +143,57 @@ def test_stop_below_train_mse(setting):
     assert len(result.epoch_log) == 1  # any finite loss beats 1e9
 
 
+def _per_region_predictions(model, prep, ids, cache) -> dict[str, float]:
+    """The reference for every batched prediction: one ``predict_region`` call per region."""
+    with no_grad():
+        return {r: float(model.predict_region(prep, r, cache).values[0, 0]) for r in ids}
+
+
+def _assert_predict_split_matches_per_region(model, prep, ids, cache):
+    got = predict_split(model, prep, ids, cache)
+    want = _per_region_predictions(model, prep, ids, cache)
+    assert list(got) == list(want)
+    for r in ids:
+        assert abs(got[r] - want[r]) <= 1e-12 * max(abs(want[r]), 1.0), r
+
+
+@pytest.fixture(scope="module")
+def twelve_regions():
+    """12 regions, so ``batch_size=8`` predicts in chunks of 8 and 4."""
+    ds = generate_synthetic(SynthParams(n_regions=12, seed=3, grid_side=3))
+    return ds, fit_normalization(ds, ds.region_ids)
+
+
+@pytest.mark.parametrize("pooling", POOLING_CHOICES)
+@pytest.mark.parametrize("ablation", ABLATION_CHOICES)
+def test_predict_split_matches_per_region_predictions(twelve_regions, ablation, pooling):
+    ds, stats = twelve_regions
+    config = CFG.with_overrides(ablation=ablation, pooling=pooling, batch_size=8)
+    prep = prepare_dataset(ds, stats, hops=config.layers)
+    model = EmissionModel(config, stats)
+    cache = refresh_region_cache(model, prep, 0) if model.use_region else None
+    _assert_predict_split_matches_per_region(model, prep, prep.region_ids, cache)
+    # any subset of the ids, in any order
+    _assert_predict_split_matches_per_region(model, prep, prep.region_ids[::-3], cache)
+
+
+def test_predict_split_of_one_region_world_and_of_no_regions():
+    ds = generate_synthetic(SynthParams(n_regions=1, seed=4, grid_side=3))
+    stats = fit_normalization(ds, ds.region_ids)
+    prep = prepare_dataset(ds, stats, hops=CFG.layers)
+    model = EmissionModel(CFG, stats)
+    cache = refresh_region_cache(model, prep, 0)
+    _assert_predict_split_matches_per_region(model, prep, prep.region_ids, cache)
+    assert predict_split(model, prep, [], cache) == {}
+
+
 @pytest.mark.parametrize("ablation", ["none", "no_region_level"])
 def test_batched_evaluate_matches_per_region_predictions(setting, ablation):
     ds, splits, stats, prep = setting
     model = EmissionModel(CFG.with_overrides(ablation=ablation), stats)
     cache = refresh_region_cache(model, prep, 0) if model.use_region else None
     for ids in splits:
-        preds = predict_split(model, prep, ids, cache)
-        p_norm = np.array([preds[r] for r in ids])
+        p_norm = np.array(list(_per_region_predictions(model, prep, ids, cache).values()))
         want = (
             compute_metrics([prep.regions[r].label_norm for r in ids], p_norm),
             compute_metrics(
