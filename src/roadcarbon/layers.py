@@ -34,9 +34,10 @@ weighted by the fusion softmax.
 The stacks take raw index arrays and check them once: ``stack_egat``
 builds one ``tensor.Arcs`` and its copy with self-loops before the first
 layer, ``stack_hetero`` one such pair per arc type and distinct layer
-prefix, and every layer's kernels read those.  ``egat_layer`` itself takes
-the pair, so a layer call checks only shapes; ``attention_fusion`` and
-``graphs.pool`` build one ``Arcs`` per call.
+prefix, and every layer's kernels read those, and the arc tables each
+builds on first use.  ``egat_layer`` itself takes the pair, so a layer call
+checks only shapes; ``attention_fusion`` and ``graphs.pool`` build one
+``Arcs`` per call.
 """
 
 from __future__ import annotations

@@ -451,7 +451,7 @@ def attend_oracle(H, w, src, dst, n, upstream):
     for a, (s, d) in enumerate(zip(src, dst)):
         out[d] += w[a, 0] * H[s]
         dH[s] += w[a, 0] * upstream[d]
-        dw[a, 0] = upstream[d] @ H[s]
+        dw[a, 0] = (upstream[d] * H[s]).sum()
     return out, dH, dw
 
 
@@ -478,38 +478,176 @@ def test_attend_gradient_matches_finite_differences():
     assert finite_difference_check(f, [h, w]) < 1e-6
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    rows=st.integers(1, 6),
-    n=st.integers(1, 6),
-    m=st.integers(0, 12),
-    d=st.integers(1, 4),
-    one_arc_per_row=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_attend_property_matches_arc_loop(rows, n, m, d, one_arc_per_row, seed):
-    # m=0 has no arcs; random endpoints repeat arcs and leave destinations
-    # without arcs; the output row count n is drawn apart from H's rows;
-    # ``one_arc_per_row`` takes H's rows in order as the sources, as pooling does
-    rng = np.random.default_rng(seed)
-    m = rows if one_arc_per_row else m
-    H, w = rng.normal(size=(rows, d)), rng.normal(size=(m, 1))
-    src = np.arange(rows) if one_arc_per_row else rng.integers(0, rows, size=m)
-    dst = rng.integers(0, n, size=m)
+def rng_target(n, d):
+    """A loss target of n x d normals, seeded by its shape."""
+    return np.random.default_rng(n * 131 + d).normal(size=(n, d))
+
+
+def _table_ends(rng, m: int, cap: int) -> tuple[np.ndarray, int]:
+    """m arc ends, shuffled, over as many rows as they fill: every fifth row
+    gets no arc, the others between 3/4 of ``cap`` and ``cap`` (the last
+    one the remainder), so their arc table has at most ``cap`` arcs a row
+    and under 2 cells per arc."""
+    degrees: list[int] = []
+    while sum(degrees) < m:
+        degrees.append(0 if len(degrees) % 5 == 4 else int(rng.integers(-(-3 * cap // 4), cap + 1)))
+    degrees[-1] -= sum(degrees) - m
+    return rng.permutation(np.repeat(np.arange(len(degrees)), degrees)), len(degrees)
+
+
+@st.composite
+def attend_cases(draw):
+    """(H, w, src, dst, n) for ``attend``.  Small cases: m <= 12 random
+    arcs, which repeat arcs and leave rows without arcs, or one arc per
+    source row in order, as pooling reads them.  Table cases: at least
+    TABLE_MIN_ARCS arcs of width 2, 3 or 64 whose rows have at most a drawn
+    in-degree up to TABLE_MAX_DEGREE, every fifth row and some trailing
+    rows without arcs, with identity or tabled sources; small drawn degrees
+    repeat arcs.  Either way the output row count n is drawn apart from
+    H's rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    identity = draw(st.booleans())
+    if draw(st.booleans()):
+        rows, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        m = rows if identity else draw(st.integers(0, 12))
+        src = np.arange(rows) if identity else rng.integers(0, rows, size=m)
+        dst = rng.integers(0, n, size=m)
+    else:
+        d = draw(st.sampled_from([2, 3, 64]))
+        m = draw(st.integers(T.TABLE_MIN_ARCS, T.TABLE_MIN_ARCS + 200))
+        dst, n = _table_ends(rng, m, draw(st.integers(1, T.TABLE_MAX_DEGREE)))
+        n += draw(st.integers(0, 3))
+        if identity:
+            src, rows = np.arange(m), m
+        else:
+            src, rows = _table_ends(rng, m, draw(st.integers(1, T.TABLE_MAX_DEGREE)))
+            rows += draw(st.integers(0, 3))
+    return rng.normal(size=(rows, d)), rng.normal(size=(m, 1)), src, dst, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=attend_cases())
+def test_attend_property_matches_arc_loop(case):
+    # each output row adds its arcs' products in arc order from +0.0 and
+    # each source row its arcs' gradient rows the same way, by flat slots
+    # or through the arc tables, so both match the loop bit for bit
+    H, w, src, dst, n = case
+    (rows, d), m = H.shape, len(w)
     h, wt = Tensor(H, requires_grad=True), Tensor(w, requires_grad=True)
     arcs = T.Arcs(src, dst, n, rows)
-    assert arcs.identity or not one_arc_per_row
+    assert arcs.identity == np.array_equal(src, np.arange(rows))
+    if m >= T.TABLE_MIN_ARCS:
+        assert arcs.into_rows() is not None
+        assert arcs.identity or arcs.from_rows() is not None
     out = T.attend(h, wt, arcs)
-    loss, upstream = mse_with_upstream(out, rng.normal(size=(n, d)))
+    loss, upstream = mse_with_upstream(out, rng_target(n, d))
     backward(loss)
     want, dH, dw = attend_oracle(H, w, src, dst, n, upstream)
-    scale = 1 + np.abs(want).max(initial=0.0)
     assert out.shape == (n, d)
     assert out.values.dtype == h.grad.dtype == wt.grad.dtype == np.float64
-    assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-12 * scale
-    for got, ref in ((h.grad, dH), (wt.grad, dw)):
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * (1 + np.abs(ref).max(initial=0.0))
+    assert np.array_equal(out.values, want)
+    assert np.array_equal(h.grad, dH)
+    assert np.array_equal(wt.grad, dw)
+
+
+def _slot_attend(H, w, src, dst, n, upstream):
+    """``attend`` and its gradients taken by flat slots."""
+    gd = upstream[dst]
+    return (
+        T._segment_sum_np(H[src] * w, dst, n),
+        T._segment_sum_np(gd * w, src, len(H)),
+        (gd * H[src]).sum(axis=1, keepdims=True),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 64]),
+    cut=st.integers(0, 3),
+    cap=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_arc_linear_table_gradients_match_flat_slot_sums(k, cut, cap, seed):
+    # V's and M's gradients from tabled destination and source sums equal
+    # those from ``_segment_sum_np`` bit for bit; ``cut`` output rows past
+    # the arcs' own get zero destination sums, as in a prefix of the arcs
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(T.TABLE_MIN_ARCS, T.TABLE_MIN_ARCS + 200))
+    dst, n_dst = _table_ends(rng, m, cap)
+    src, n_src = _table_ends(rng, m, cap)
+    nodes = max(n_dst, n_src) + cut
+    arcs = T.Arcs(src, dst, n_dst, nodes)
+    d_in, d_e, m_e = 3, 2, m - int(rng.integers(0, 10))
+    V, E, M = rng.normal(size=(nodes, d_in)), rng.normal(size=(m_e, d_e)), rng.normal(size=(2 * d_in + d_e, k))
+    v, e, mm = (Tensor(x, requires_grad=True) for x in (V, E, M))
+    out = T.arc_linear(v, e, arcs, mm)
+    loss, g = mse_with_upstream(out, rng.normal(size=(m, k)))
+    backward(loss)
+    if k > 1:
+        assert arcs.into_rows() is not None and arcs.from_rows() is not None
+    g_dst, g_src = T._segment_sum_np(g, dst, nodes), T._segment_sum_np(g, src, nodes)
+    M_d, M_e, M_s = M[:d_in], M[d_in : d_in + d_e], M[d_in + d_e :]
+    assert np.array_equal(v.grad, g_dst @ M_d.T + g_src @ M_s.T)
+    assert np.array_equal(mm.grad, np.concatenate([V.T @ g_dst, E.T @ g[:m_e], V.T @ g_src]))
+
+
+def test_arc_tables_list_each_rows_arcs_in_arc_order():
+    rng = np.random.default_rng(21)
+    m = T.TABLE_MIN_ARCS
+    dst, n = _table_ends(rng, m, 6)
+    arcs = T.Arcs(rng.permutation(m), dst, n, m)
+    into = arcs.into_rows()
+    assert into.shape == (np.bincount(dst).max(), n)
+    for r in range(n):
+        listed = into[:, r]
+        assert listed.tolist() == np.flatnonzero(dst == r).tolist() + [m] * int((listed == m).sum())
+    assert arcs.into_rows() is into  # built once
+    assert T.Arcs(dst[:-1], dst[:-1], n).into_rows() is None  # under the arc cutoff
+
+
+def _no_table_case(kind, rng):
+    """(H, w, src, dst, n) of an arc set that takes no arc table."""
+    m = T.TABLE_MIN_ARCS + 40
+    if kind == "width 1":
+        dst, n = _table_ends(rng, m, 4)
+        src, rows = _table_ends(rng, m, 4)
+        return rng.normal(size=(rows, 1)), rng.normal(size=(m, 1)), src, dst, n
+    if kind == "below the cutoff":
+        m = T.TABLE_MIN_ARCS - 1
+        dst, n = _table_ends(rng, m, 4)
+        src, rows = _table_ends(rng, m, 4)
+    elif kind == "star":  # a whole set of rows pooled into one
+        dst, n, src, rows = np.zeros(m, dtype=np.int64), 1, np.arange(m), m
+    elif kind == "in-degree over the cap":  # every non-empty row over it
+        dst, n = _table_ends(rng, m, 2 * T.TABLE_MAX_DEGREE)
+        src, rows = np.arange(m), m
+    else:  # "over the fill": 8 rows at the cap, the others one arc each
+        cap = T.TABLE_MAX_DEGREE
+        n = 8 + m - 8 * cap
+        dst = rng.permutation(np.repeat(np.arange(n), [cap] * 8 + [1] * (n - 8)))
+        src, rows = np.arange(m), m
+    return rng.normal(size=(rows, 8)), rng.normal(size=(m, 1)), src, dst, n
+
+
+@pytest.mark.parametrize(
+    "kind", ["width 1", "below the cutoff", "star", "in-degree over the cap", "over the fill"]
+)
+def test_arc_sets_without_a_table_sum_by_flat_slots(kind):
+    H, w, src, dst, n = _no_table_case(kind, np.random.default_rng(22))
+    h, wt = Tensor(H, requires_grad=True), Tensor(w, requires_grad=True)
+    arcs = T.Arcs(src, dst, n, len(H))
+    out = T.attend(h, wt, arcs)
+    loss, upstream = mse_with_upstream(out, rng_target(*out.shape))
+    backward(loss)
+    if kind == "width 1":  # never asked for: a width-1 sum builds no table
+        assert arcs._into is False and arcs._from is False
+    else:
+        assert arcs.into_rows() is None
+        assert arcs.identity or arcs.from_rows() is None
+    want, dH, dw = _slot_attend(H, w, src, dst, n, upstream)
+    assert np.array_equal(out.values, want)
+    assert np.array_equal(h.grad, dH)
+    assert np.array_equal(wt.grad, dw)
 
 
 def test_arcs_derivations_keep_rows_and_check_only_the_cut():
