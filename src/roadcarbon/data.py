@@ -8,6 +8,19 @@ one record per line, '.' decimal, '#' comments):
     od.csv               level,origin_id,dest_id,flow        (level: community|region)
     labels.csv           region_id,emission_tco2
     region_adjacency.csv region_a,region_b
+
+``load_dataset`` first reads each file whole, splits it into columns and
+checks the dataset a column at a time: each numeric column goes through one
+``map(float, ...)``, so it accepts exactly the numbers ``float`` accepts, and
+every condition the per-line loop reports (ids, ranges, finiteness,
+affiliations, unknown, duplicate and self references, labels) is a set or
+array test.  A dataset that passes is built from arrays.  Any other dataset
+goes to the per-line loop, the only code that names file and line, so every
+problem is reported as that loop reports it.  That holds for a dataset that
+fails any columnar check, and for one whose text holds a quote, a '#', or
+whitespace other than the line breaks '\r\n', '\r' and '\n' (so every
+comment, blank line, padded line and other Unicode line break), or a line
+without the file's number of fields.
 """
 
 from __future__ import annotations
@@ -19,11 +32,21 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import eq
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import GraphValidationError, Hierarchy, ODFlow, RoadGraph, build_road_graph
+from .graphs import (
+    GraphValidationError,
+    Hierarchy,
+    ODFlow,
+    RoadGraph,
+    build_road_graph,
+    road_class_codes,
+    road_graph_from_arrays,
+)
 
 HEADERS = {
     "nodes.csv": ["region_id", "community_id", "node_id", "rel_lon", "rel_lat"],
@@ -35,6 +58,14 @@ HEADERS = {
 
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+# the characters whose presence sends a file to the per-line reader: the
+# quote, the comment mark, and every character for which ``str.isspace`` holds
+# except the two that make up the line breaks '\r\n', '\r' and '\n'
+_PER_LINE_MARKS = (
+    '"#\t\x0b\x0c\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004'
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 class DatasetError(ValueError):
@@ -127,6 +158,136 @@ def _parse_float(text: str, name: str, lineno: int, problems: list[str]) -> floa
     return value
 
 
+def _read_columns(path: Path) -> list[list[str]] | None:
+    """The data rows of one CSV file as its columns, or None if the file
+    needs the per-line reader: it is missing, unreadable or not UTF-8, it
+    holds one of ``_PER_LINE_MARKS``, its first line is not the header, or a
+    line has the wrong number of fields."""
+    header = HEADERS[path.name]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(mark in text for mark in _PER_LINE_MARKS):
+        return None
+    # with no other Unicode line break left, splitlines splits as the reader does
+    lines = text.splitlines()
+    if not lines or lines[0] != ",".join(header):
+        return None
+    rows, k = lines[1:], len(header)
+    if not rows:
+        return [[] for _ in header]
+    # each line break becomes a field of its own, which every k-th field after
+    # a row is exactly when each line holds k fields
+    fields = ",\n,".join(rows).split(",")
+    if len(fields) != (k + 1) * len(rows) - 1 or fields[k :: k + 1].count("\n") != len(rows) - 1:
+        return None
+    return [fields[j :: k + 1] for j in range(k)]
+
+
+def _finite_column(texts: list[str]) -> np.ndarray | None:
+    """``float`` of every text as one array, or None if one is not a finite
+    number."""
+    try:
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _columnar_dataset(nodes, edges, od, labels, adjacency) -> Dataset | None:
+    """The dataset the per-line loop would build from these columns, or None
+    if any record fails one of its checks."""
+    region, community, node_id, lon, lat = nodes
+    lon, lat = _finite_column(lon), _finite_column(lat)
+    if lon is None or lat is None or len(set(node_id)) < len(node_id):
+        return None
+    xy = np.stack([lon, lat], axis=1)
+    if not ((xy >= 0.0) & (xy <= 1.0)).all():
+        return None
+    community_region = dict(zip(community, region))
+    if len(set(zip(community, region))) > len(community_region):
+        return None  # a community in two regions
+
+    u, v, *numbers, road_class = edges
+    numbers = [_finite_column(column) for column in numbers]  # rel_lon, rel_lat, length_km
+    if any(column is None for column in numbers):
+        return None
+    seg_feats = np.stack(numbers, axis=1)
+    n, m = len(node_id), len(u)
+    node_index = dict(zip(node_id, range(n)))
+    ends = np.fromiter(map(node_index.get, chain(u, v), repeat(-1)), dtype=np.int64, count=2 * m)
+    ends = ends.reshape(2, m).T
+    if (ends < 0).any() or (ends[:, 0] == ends[:, 1]).any() or (seg_feats[:, 2] <= 0.0).any():
+        return None
+    region_ids = sorted(set(region))
+    region_index = dict(zip(region_ids, range(len(region_ids))))
+    node_region = np.fromiter(map(region_index.get, region), dtype=np.int64, count=n)
+    seg_region = node_region[ends[:, 0]]
+    if (seg_region != node_region[ends[:, 1]]).any():
+        return None
+
+    level, origin, dest, flow = od
+    flows = _finite_column(flow)
+    # a (level, area) pair is known only at a known level
+    known = {("community", c) for c in community_region} | {("region", r) for r in region_ids}
+    if (
+        flows is None
+        or (flows < 0.0).any()
+        or not known.issuperset(zip(level, origin))
+        or not known.issuperset(zip(level, dest))
+        or any(map(eq, origin, dest))
+        or len(set(zip(level, origin, dest))) < len(level)
+    ):
+        return None
+    records = list(map(ODFlow, origin, dest, level, flows.tolist()))
+
+    label_region, emission = labels
+    values = _finite_column(emission)
+    if (
+        values is None
+        or (values <= 0.0).any()
+        or len(set(label_region)) < len(label_region)
+        or region_index.keys() != set(label_region)
+    ):
+        return None
+
+    area_a, area_b = adjacency
+    if not region_index.keys() >= set(area_a).union(area_b) or any(map(eq, area_a, area_b)):
+        return None
+
+    # group nodes and segments by region, each group in file order
+    node_order = np.argsort(node_region, kind="stable")
+    seg_order = np.argsort(seg_region, kind="stable")
+    node_bounds = np.r_[0, np.cumsum(np.bincount(node_region, minlength=len(region_ids)))]
+    seg_bounds = np.r_[0, np.cumsum(np.bincount(seg_region, minlength=len(region_ids)))]
+    position = np.empty(n, dtype=np.int64)  # of each node in its region's group
+    position[node_order] = np.arange(n) - node_bounds[node_region[node_order]]
+    seg_class = road_class_codes(road_class)
+    ids = np.array(node_id, dtype=object)
+    road_graphs: dict[str, RoadGraph] = {}
+    for r, region_id in enumerate(region_ids):
+        group = node_order[node_bounds[r] : node_bounds[r + 1]]
+        segments = seg_order[seg_bounds[r] : seg_bounds[r + 1]]
+        road_graphs[region_id] = road_graph_from_arrays(
+            region_id,
+            ids[group].tolist(),
+            xy[group],
+            position[ends[segments]],
+            seg_feats[segments],
+            seg_class[segments],
+        )
+    return Dataset(
+        road_graphs=road_graphs,
+        hierarchy=Hierarchy(dict(zip(node_id, community)), community_region),
+        community_od=[record for record in records if record.level == "community"],
+        region_od=[record for record in records if record.level == "region"],
+        region_adjacency=sorted(set(zip(map(min, area_a, area_b), map(max, area_a, area_b)))),
+        labels=dict(zip(label_region, values.tolist())),
+    )
+
+
 def load_dataset(directory) -> Dataset:
     """Parse and cross-validate one dataset directory.
 
@@ -134,6 +295,17 @@ def load_dataset(directory) -> Dataset:
     reported together in a single DatasetError.
     """
     directory = Path(directory)
+    columns = [_read_columns(directory / name) for name in HEADERS]
+    if all(column is not None for column in columns):
+        dataset = _columnar_dataset(*columns)
+        if dataset is not None:
+            return dataset
+    return _load_per_line(directory)
+
+
+def _load_per_line(directory: Path) -> Dataset:
+    """``load_dataset`` one line at a time, every problem cited by file and
+    line."""
     problems: list[str] = []
 
     node_rows = _read_rows(directory / "nodes.csv", problems)

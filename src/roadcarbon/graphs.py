@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -59,8 +60,18 @@ class RoadGraph:
         return self.node_feats[:, 2].astype(np.int64)
 
 
+def road_class_codes(names) -> np.ndarray:
+    """``road_class_index`` of every name, as an int64 array."""
+    names = list(names)
+    other = _CLASS_INDEX["other"]
+    return np.fromiter(
+        map(_CLASS_INDEX.get, names, repeat(other)), dtype=np.int64, count=len(names)
+    )
+
+
 def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
-    """Validate raw intersection/segment records and realize the arc arrays.
+    """Validate raw intersection/segment records, then realize the arc
+    arrays with ``road_graph_from_arrays``.
 
     ``nodes``: iterable of (node_id, rel_lon, rel_lat).
     ``segments``: iterable of (u, v, rel_lon, rel_lat, length_km, road_class).
@@ -75,12 +86,10 @@ def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
         seen.add(node_id)
         if not (0.0 <= lon <= 1.0 and 0.0 <= lat <= 1.0):
             problems.append(f"node {node_id}: relative coordinates outside [0,1]")
-    node_ids = sorted(seen)
-    index = {nid: i for i, nid in enumerate(node_ids)}
     for u, v, _lon, _lat, length, _cls in segments:
-        if u not in index:
+        if u not in seen:
             problems.append(f"segment endpoint references missing node {u}")
-        if v not in index:
+        if v not in seen:
             problems.append(f"segment endpoint references missing node {v}")
         if u == v:
             problems.append(f"self-loop segment at node {u}")
@@ -91,12 +100,37 @@ def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
             f"region {region_id}: invalid road graph:\n" + "\n".join(problems)
         )
 
-    n = len(node_ids)
+    n = len(nodes)
     m = len(segments)
-    # arc 2k runs u -> v and arc 2k + 1 runs v -> u for segment k = (u, v, ...)
-    ends = np.array([(index[s[0]], index[s[1]]) for s in segments], dtype=np.int64).reshape(m, 2)
-    seg_feats = np.array([s[2:5] for s in segments], dtype=np.float64).reshape(m, 3)
-    seg_class = np.array([road_class_index(s[5]) for s in segments], dtype=np.int64)
+    index = {node_id: i for i, (node_id, _, _) in enumerate(nodes)}
+    return road_graph_from_arrays(
+        region_id,
+        [node_id for node_id, _, _ in nodes],
+        np.array([(lon, lat) for _, lon, lat in nodes], dtype=np.float64).reshape(n, 2),
+        np.array([(index[s[0]], index[s[1]]) for s in segments], dtype=np.int64).reshape(m, 2),
+        np.array([s[2:5] for s in segments], dtype=np.float64).reshape(m, 3),
+        road_class_codes(s[5] for s in segments),
+    )
+
+
+def road_graph_from_arrays(
+    region_id: str, node_ids: list[str], node_xy, ends, seg_feats, seg_class
+) -> RoadGraph:
+    """The road graph of checked records given as arrays; nodes are numbered
+    in sorted id order.
+
+    ``node_ids`` are unique, ``node_xy`` their Nx2 relative coordinates.
+    Segment k joins ``ends[k]`` (two distinct positions in ``node_ids``) and
+    has raw features ``seg_feats[k]`` (rel_lon, rel_lat, length_km > 0) and
+    class code ``seg_class[k]``.
+    """
+    n = len(node_ids)
+    m = len(ends)
+    order = sorted(range(n), key=node_ids.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # arc 2k runs u -> v and arc 2k + 1 runs v -> u for segment k = (u, v)
+    ends = rank[ends]
     arc_src = ends.ravel()
     arc_dst = ends[:, ::-1].ravel()
     arc_feats = np.zeros((2 * m, EDGE_FEATURE_DIM))
@@ -105,17 +139,14 @@ def build_road_graph(region_id: str, nodes, segments) -> RoadGraph:
     arc_feats[np.arange(2 * m), 3 + arc_class] = 1.0
     arc_length = arc_feats[:, 2].copy()
 
-    node_xy = np.zeros((n, 2))
-    node_xy[[index[node_id] for node_id, _, _ in nodes]] = np.array(
-        [(lon, lat) for _, lon, lat in nodes], dtype=np.float64
-    ).reshape(n, 2)
+    node_xy = node_xy[order]
     node_feats = np.zeros((n, NODE_FEATURE_DIM))
     node_feats[:, :2] = node_xy
     node_feats[:, 2] = np.bincount(arc_dst, minlength=n)
 
     return RoadGraph(
         region_id=region_id,
-        node_ids=node_ids,
+        node_ids=[node_ids[i] for i in order],
         node_xy=node_xy,
         node_feats=node_feats,
         arc_src=arc_src,
@@ -224,26 +255,34 @@ def adjacency_arcs(pairs, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray
 
 def od_arcs(records, index: dict[str, int], min_flow: float = 0.0):
     """Directed OD arcs ``(src, dst, flow)``, one per record with flow above
-    ``min_flow``.  Unknown areas, self-loops and repeated pairs are errors:
-    in-memory datasets reach here without passing the CSV loader."""
-    src, dst, flows = [], [], []
-    seen = set()
-    for record in records:
-        origin, dest = record.origin, record.dest
+    ``min_flow``.  Unknown areas, self-loops and repeated pairs are errors,
+    and the first faulty record is named: in-memory datasets reach here
+    without passing the CSV loader."""
+    records = list(records)
+    m = len(records)
+    origins = [record.origin for record in records]
+    dests = [record.dest for record in records]
+    ends = np.fromiter(map(index.get, origins + dests, repeat(-1)), dtype=np.int64, count=2 * m)
+    src, dst = ends[:m], ends[m:]
+    # one key per pair of areas; a record with an unknown area (-1) is faulty
+    # itself, so it does not matter that its key may equal another's
+    keys = src * (ends.max(initial=0) + 1) + dst
+    first = np.unique(keys, return_index=True)[1]  # of each key, its first record
+    faulty = (np.minimum(src, dst) < 0) | (src == dst)
+    if first.size < m or faulty.any():
+        repeated = np.ones(m, dtype=bool)
+        repeated[first] = False
+        k = np.flatnonzero(faulty | repeated)[0]
+        origin, dest = origins[k], dests[k]
         for area in (origin, dest):
             if area not in index:
                 raise GraphValidationError(f"OD record references unknown area {area}")
         if origin == dest:
             raise GraphValidationError(f"OD record with identical origin and destination {origin}")
-        if (origin, dest) in seen:
-            raise GraphValidationError(f"duplicate OD record {origin} -> {dest}")
-        seen.add((origin, dest))
-        if record.flow <= min_flow:
-            continue
-        src.append(index[origin])
-        dst.append(index[dest])
-        flows.append(record.flow)
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(flows)
+        raise GraphValidationError(f"duplicate OD record {origin} -> {dest}")
+    flows = np.array([record.flow for record in records])
+    keep = flows > min_flow
+    return src[keep], dst[keep], flows[keep]
 
 
 def community_node_features(

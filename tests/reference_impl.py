@@ -1,9 +1,16 @@
 """Independent brute-force references shared by layer and acceptance tests,
-the arc sets and entry-sum loss the kernel and gradient tests share, and
-the region-cache recorder the epoch-lag tests share."""
+the arc sets and entry-sum loss the kernel and gradient tests share, the
+region-cache recorder the epoch-lag tests share, and the per-line CSV
+loader the columnar one is checked against."""
+
+import csv
+import math
+from pathlib import Path
 
 import numpy as np
 
+from roadcarbon.data import HEADERS, Dataset, DatasetError, _utf8_problem
+from roadcarbon.graphs import GraphValidationError, Hierarchy, ODFlow, RoadGraph, build_road_graph
 from roadcarbon.tensor import Arcs, Tensor, attend, matmul
 
 
@@ -97,3 +104,222 @@ def record_caches(model):
 
     model.predict_batch = recording
     return seen
+
+
+# the CSV loader as it was before the columnar path: every file read and
+# every record checked one line at a time
+
+
+def _read_rows(path: Path, problems: list[str]):
+    """The data rows of one CSV file as ``(lineno, fields)``, problems recorded.
+
+    One record per line: an unbalanced quote stays inside its own line.
+    """
+    name = path.name
+    if not path.exists():
+        problems.append(f"missing file {name}")
+        return []
+    header = HEADERS[name]
+    rows = []
+    saw_header = False
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                # without a quote character csv's dialect splits exactly at commas
+                fields = next(csv.reader((line,))) if '"' in line else line.split(",")
+                if not saw_header:
+                    if fields != header:
+                        problems.append(
+                            f"{name}:{lineno}: expected header {','.join(header)}, got {line}"
+                        )
+                        return []
+                    saw_header = True
+                    continue
+                if len(fields) != len(header):
+                    problems.append(
+                        f"{name}:{lineno}: expected {len(header)} fields, got {len(fields)}"
+                    )
+                    continue
+                # str.split's list reserves 12 slots; a tuple holds just the fields
+                rows.append((lineno, tuple(fields)))
+    except OSError as exc:
+        problems.append(f"{name}: cannot read: {exc.strerror or exc}")
+        return []
+    except UnicodeDecodeError:
+        problems.append(_utf8_problem(path))
+        return []
+    if not saw_header:
+        problems.append(f"{name}: empty file, header required")
+    return rows
+
+
+def _parse_float(text: str, name: str, lineno: int, problems: list[str]) -> float:
+    """Parse one finite number.  Otherwise the problem is recorded and NaN
+    returned, which fails every later range check silently."""
+    try:
+        value = float(text)
+    except ValueError:
+        problems.append(f"{name}:{lineno}: not a number: {text!r}")
+        return math.nan
+    if not math.isfinite(value):
+        problems.append(f"{name}:{lineno}: not a finite number: {text!r}")
+        return math.nan
+    return value
+
+
+def reference_load_dataset(directory) -> Dataset:
+    """Parse and cross-validate one dataset directory.
+
+    Every malformed row and referential-integrity violation is collected and
+    reported together in a single DatasetError.
+    """
+    directory = Path(directory)
+    problems: list[str] = []
+
+    node_rows = _read_rows(directory / "nodes.csv", problems)
+    edge_rows = _read_rows(directory / "edges.csv", problems)
+    od_rows = _read_rows(directory / "od.csv", problems)
+    label_rows = _read_rows(directory / "labels.csv", problems)
+    adj_rows = _read_rows(directory / "region_adjacency.csv", problems)
+
+    node_region: dict[str, str] = {}
+    node_community: dict[str, str] = {}
+    community_region: dict[str, str] = {}
+    nodes_by_region: dict[str, list] = {}
+    for lineno, (region, community, node_id, lon_s, lat_s) in node_rows:
+        if node_id in node_region:
+            problems.append(f"nodes.csv:{lineno}: duplicate node id {node_id}")
+            continue
+        lon = _parse_float(lon_s, "nodes.csv", lineno, problems)
+        lat = _parse_float(lat_s, "nodes.csv", lineno, problems)
+        if lon < 0.0 or lon > 1.0 or lat < 0.0 or lat > 1.0:
+            problems.append(
+                f"nodes.csv:{lineno}: node {node_id}: relative coordinates outside [0,1]"
+            )
+        if community in community_region and community_region[community] != region:
+            problems.append(
+                f"nodes.csv:{lineno}: community {community} already assigned to region "
+                f"{community_region[community]}"
+            )
+            continue
+        community_region[community] = region
+        node_region[node_id] = region
+        node_community[node_id] = community
+        nodes_by_region.setdefault(region, []).append((node_id, lon, lat))
+
+    segments_by_region: dict[str, list] = {r: [] for r in nodes_by_region}
+    for lineno, (u, v, lon_s, lat_s, len_s, cls) in edge_rows:
+        lon = _parse_float(lon_s, "edges.csv", lineno, problems)
+        lat = _parse_float(lat_s, "edges.csv", lineno, problems)
+        length = _parse_float(len_s, "edges.csv", lineno, problems)
+        if u not in node_region:
+            problems.append(f"edges.csv:{lineno}: unknown node {u}")
+            continue
+        if v not in node_region:
+            problems.append(f"edges.csv:{lineno}: unknown node {v}")
+            continue
+        if node_region[u] != node_region[v]:
+            problems.append(
+                f"edges.csv:{lineno}: segment {u}-{v} crosses regions "
+                f"{node_region[u]} and {node_region[v]}"
+            )
+            continue
+        if u == v:
+            problems.append(f"edges.csv:{lineno}: self-loop segment at node {u}")
+            continue
+        if length <= 0:
+            problems.append(f"edges.csv:{lineno}: segment {u}-{v}: non-positive length {length}")
+            continue
+        segments_by_region[node_region[u]].append((u, v, lon, lat, length, cls))
+
+    regions = set(nodes_by_region)
+    communities = set(community_region)
+    community_od: list[ODFlow] = []
+    region_od: list[ODFlow] = []
+    seen_od = set()
+    for lineno, (level, origin, dest, flow_s) in od_rows:
+        flow = _parse_float(flow_s, "od.csv", lineno, problems)
+        if level not in ("community", "region"):
+            problems.append(f"od.csv:{lineno}: unknown level {level!r}")
+            continue
+        known = communities if level == "community" else regions
+        bad = False
+        for area in (origin, dest):
+            if area not in known:
+                problems.append(f"od.csv:{lineno}: unknown {level} {area}")
+                bad = True
+        if bad:
+            continue
+        if origin == dest:
+            problems.append(f"od.csv:{lineno}: origin and destination are both {origin}")
+            continue
+        if (level, origin, dest) in seen_od:
+            problems.append(f"od.csv:{lineno}: duplicate OD record {level} {origin}->{dest}")
+            continue
+        seen_od.add((level, origin, dest))
+        if flow < 0:
+            problems.append(f"od.csv:{lineno}: negative flow {flow}")
+            continue
+        record = ODFlow(origin, dest, level, flow)
+        (community_od if level == "community" else region_od).append(record)
+
+    labels: dict[str, float] = {}
+    for lineno, (region, value_s) in label_rows:
+        value = _parse_float(value_s, "labels.csv", lineno, problems)
+        if region not in regions:
+            problems.append(f"labels.csv:{lineno}: unknown region {region}")
+            continue
+        if region in labels:
+            problems.append(f"labels.csv:{lineno}: duplicate label for region {region}")
+            continue
+        if value <= 0:
+            problems.append(f"labels.csv:{lineno}: emission must be positive, got {value}")
+            continue
+        labels[region] = value
+    for region in sorted(regions - set(labels)):
+        problems.append(f"labels.csv: region {region} has no label")
+
+    adjacency: list[tuple[str, str]] = []
+    seen_adj = set()
+    for lineno, (a, b) in adj_rows:
+        bad = False
+        for area in (a, b):
+            if area not in regions:
+                problems.append(f"region_adjacency.csv:{lineno}: unknown region {area}")
+                bad = True
+        if bad:
+            continue
+        if a == b:
+            problems.append(f"region_adjacency.csv:{lineno}: region adjacent to itself: {a}")
+            continue
+        key = (min(a, b), max(a, b))
+        if key in seen_adj:
+            continue
+        seen_adj.add(key)
+        adjacency.append(key)
+    adjacency.sort()
+
+    road_graphs: dict[str, RoadGraph] = {}
+    if not problems:
+        for region in sorted(regions):
+            try:
+                road_graphs[region] = build_road_graph(
+                    region, nodes_by_region[region], segments_by_region[region]
+                )
+            except GraphValidationError as exc:
+                problems.append(str(exc))
+
+    if problems:
+        raise DatasetError("dataset validation failed:\n" + "\n".join(problems))
+
+    return Dataset(
+        road_graphs=road_graphs,
+        hierarchy=Hierarchy(dict(node_community), dict(community_region)),
+        community_od=community_od,
+        region_od=region_od,
+        region_adjacency=adjacency,
+        labels=labels,
+    )

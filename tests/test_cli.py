@@ -499,6 +499,20 @@ def _edit_text(payload, name, edit):
     entry["values"] = edit(entry["values"])
 
 
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _flip_last_data_bit(text):
+    """Flip the lowest bit of the last character before the padding.  The
+    8 bytes of one float leave that bit unused, so the text decodes to the
+    same bytes but is not their canonical encoding; ``b64decode`` with
+    ``validate=True`` accepts it."""
+    data = text.rstrip("=")
+    assert len(data) % 4 == 3  # one '=' of padding: 2 unused bits
+    last = _BASE64[_BASE64.index(data[-1]) ^ 1]
+    return data[:-1] + last + text[len(data):]
+
+
 def test_checkpoint_values_not_filling_shape_exit_1(workspace, tmp_path, capsys):
     code = _edited_checkpoint(
         workspace, tmp_path, lambda payload: _set_values(payload, "head.b2", [])
@@ -540,6 +554,8 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
          "head.W2: values is not valid base64"),
         (lambda payload: _edit_text(payload, "head.b2", lambda t: t.rstrip("=")),
          "head.b2: values is not valid base64"),
+        (lambda payload: _edit_text(payload, "head.b2", _flip_last_data_bit),
+         "head.b2: values is not valid base64"),
     ],
     ids=[
         "stats-key-missing", "stats-key-extra", "stats-not-object", "no-values", "no-shape",
@@ -547,6 +563,7 @@ def test_checkpoint_without_params_exit_1(workspace, tmp_path, capsys):
         "nan-stat-vector", "config-wrong-type", "list-values",
         "params-not-object", "v2-format", "float-shape", "bool-shape",
         "base64-non-alphabet", "base64-newline", "base64-bad-padding",
+        "base64-noncanonical-bits",
     ],
 )
 def test_malformed_checkpoint_exit_1(workspace, tmp_path, capsys, edit, named):

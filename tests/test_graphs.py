@@ -364,6 +364,23 @@ def test_od_arcs_duplicate_record_rejected():
         od_arcs([record, record], {"a": 0, "b": 1})
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("a", "b"), ("c", "c"), ("a", "nope")], "identical origin and destination c$"),
+        ([("a", "b"), ("nope", "b"), ("c", "c")], "unknown area nope$"),
+        ([("b", "a"), ("a", "b"), ("a", "b"), ("b", "b")], "duplicate OD record a -> b$"),
+        ([("a", "c"), ("b", "b"), ("a", "c")], "identical origin and destination b$"),
+    ],
+    ids=["self-loop-then-unknown", "unknown-then-self-loop", "repeat-then-self-loop",
+         "self-loop-then-repeat"],
+)
+def test_od_arcs_names_the_first_faulty_record(pairs, message):
+    records = [ODFlow(origin, dest, "region", 1.0) for origin, dest in pairs]
+    with pytest.raises(GraphValidationError, match=message):
+        od_arcs(records, {"a": 0, "b": 1, "c": 2})
+
+
 def test_spatial_arcs_symmetric():
     src, dst = adjacency_arcs(
         [("a", "b"), ("c", "b"), ("b", "a"), ("c", "c")],  # repeat and self-pair collapse
