@@ -9,24 +9,31 @@ one record per line, '.' decimal, '#' comments):
     labels.csv           region_id,emission_tco2
     region_adjacency.csv region_a,region_b
 
-``load_dataset`` first reads each file whole, splits it into columns and
-checks the dataset a column at a time: each numeric column goes through one
-``map(float, ...)``, so it accepts exactly the numbers ``float`` accepts, and
-every condition the per-line loop reports (ids, ranges, finiteness,
-affiliations, unknown, duplicate and self references, labels) is a set or
-array test.  A dataset that passes is built from arrays.  Any other dataset
-goes to the per-line loop, the only code that names file and line, so every
-problem is reported as that loop reports it.  That holds for a dataset that
-fails any columnar check, and for one whose text holds a quote, a '#', or
-whitespace other than the line breaks '\r\n', '\r' and '\n' (so every
-comment, blank line, padded line and other Unicode line break), or a line
-without the file's number of fields.
+``load_dataset`` has two readers and one builder.  Each file that decodes is
+read whole, once.  ``_read_columns`` splits its text into columns when it holds
+no quote, no '#' and no whitespace other than the line breaks '\r\n', '\r'
+and '\n', and each line has the file's number of fields.  Any other file
+(comments, blank and padded lines, quoted fields, other Unicode line breaks,
+a missing, unreadable or non-UTF-8 file) goes to ``_read_rows``, which takes
+it one line at a time and records its problems; its rows are transposed into
+the same columns.  ``_columnar_dataset`` checks those columns a column at a
+time, each numeric column through one ``map(float, ...)`` (so it accepts
+exactly the numbers ``float`` accepts) and every other condition (ids,
+ranges, affiliations, unknown, duplicate and self references, labels) as a
+set or array test, and builds the dataset from arrays.
+
+If a reader recorded a problem or a columnar check fails, the per-line pass
+``_record_problems`` goes over the same rows and names every problem by file
+and line; it builds nothing.  Both check sets accept the same datasets, so a
+dataset the per-line pass finds nothing wrong with is a fault of this module
+and raises RuntimeError, never a DatasetError.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import os
 import re
@@ -38,15 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (
-    GraphValidationError,
-    Hierarchy,
-    ODFlow,
-    RoadGraph,
-    build_road_graph,
-    road_class_codes,
-    road_graph_from_arrays,
-)
+from .graphs import Hierarchy, ODFlow, RoadGraph, road_class_codes, road_graph_from_arrays
 
 HEADERS = {
     "nodes.csv": ["region_id", "community_id", "node_id", "rel_lon", "rel_lat"],
@@ -86,20 +85,26 @@ class Dataset:
         return sorted(self.road_graphs)
 
 
-def _read_rows(path: Path, problems: list[str]):
+def _read_rows(path: Path, problems: list[str], text: str | None = None):
     """The data rows of one CSV file as ``(lineno, fields)``, problems recorded.
+    ``text`` is the file's text if it has been read; otherwise the file is
+    read here.
 
     One record per line: an unbalanced quote stays inside its own line.
     """
     name = path.name
-    if not path.exists():
+    if text is None and not path.exists():
         problems.append(f"missing file {name}")
         return []
     header = HEADERS[name]
     rows = []
     saw_header = False
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        if text is None:
+            fh = open(path, newline="", encoding="utf-8-sig")
+        else:
+            fh = io.StringIO(text, newline="")
+        with fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -119,8 +124,7 @@ def _read_rows(path: Path, problems: list[str]):
                         f"{name}:{lineno}: expected {len(header)} fields, got {len(fields)}"
                     )
                     continue
-                # str.split's list reserves 12 slots; a tuple holds just the fields
-                rows.append((lineno, tuple(fields)))
+                rows.append((lineno, fields))
     except OSError as exc:
         problems.append(f"{name}: cannot read: {exc.strerror or exc}")
         return []
@@ -158,17 +162,11 @@ def _parse_float(text: str, name: str, lineno: int, problems: list[str]) -> floa
     return value
 
 
-def _read_columns(path: Path) -> list[list[str]] | None:
-    """The data rows of one CSV file as its columns, or None if the file
-    needs the per-line reader: it is missing, unreadable or not UTF-8, it
-    holds one of ``_PER_LINE_MARKS``, its first line is not the header, or a
-    line has the wrong number of fields."""
-    header = HEADERS[path.name]
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
-        return None
+def _read_columns(text: str, header: list[str]) -> list[list[str]] | None:
+    """The data rows of one CSV file's text as its columns, or None if the
+    text needs the per-line reader: it holds one of ``_PER_LINE_MARKS``, its
+    first line is not the header, or a line has the wrong number of fields.
+    Its data rows are then lines 2 to n + 1."""
     if any(mark in text for mark in _PER_LINE_MARKS):
         return None
     # with no other Unicode line break left, splitlines splits as the reader does
@@ -197,8 +195,8 @@ def _finite_column(texts: list[str]) -> np.ndarray | None:
 
 
 def _columnar_dataset(nodes, edges, od, labels, adjacency) -> Dataset | None:
-    """The dataset the per-line loop would build from these columns, or None
-    if any record fails one of its checks."""
+    """The dataset of these columns, or None if a record fails a check;
+    ``_record_problems`` then names it."""
     region, community, node_id, lon, lat = nodes
     lon, lat = _finite_column(lon), _finite_column(lat)
     if lon is None or lat is None or len(set(node_id)) < len(node_id):
@@ -291,34 +289,49 @@ def _columnar_dataset(nodes, edges, od, labels, adjacency) -> Dataset | None:
 def load_dataset(directory) -> Dataset:
     """Parse and cross-validate one dataset directory.
 
-    Every malformed row and referential-integrity violation is collected and
-    reported together in a single DatasetError.
+    ``_columnar_dataset`` builds the dataset from the columns of the five
+    files.  Otherwise every malformed row and referential-integrity
+    violation is collected and reported together in a single DatasetError.
     """
     directory = Path(directory)
-    columns = [_read_columns(directory / name) for name in HEADERS]
-    if all(column is not None for column in columns):
-        dataset = _columnar_dataset(*columns)
+    problems: list[str] = []
+    tables = [_read_table(directory / name, problems) for name in HEADERS]
+    if not problems:
+        dataset = _columnar_dataset(*(columns for _, columns in tables))
         if dataset is not None:
             return dataset
-    return _load_per_line(directory)
+    _record_problems(*(zip(linenos, *columns) for linenos, columns in tables), problems)
+    if not problems:
+        raise RuntimeError(
+            f"{directory}: the columnar checks refused a dataset the per-line checks accept"
+        )
+    raise DatasetError("dataset validation failed:\n" + "\n".join(problems))
 
 
-def _load_per_line(directory: Path) -> Dataset:
-    """``load_dataset`` one line at a time, every problem cited by file and
-    line."""
-    problems: list[str] = []
+def _read_table(path: Path, problems: list[str]) -> tuple[range | list[int], list[list[str]]]:
+    """The line numbers and columns of one CSV file's data rows, problems
+    recorded."""
+    header = HEADERS[path.name]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        rows = _read_rows(path, problems)  # which names the fault
+    else:
+        columns = _read_columns(text, header)
+        if columns is not None:
+            return range(2, len(columns[0]) + 2), columns
+        rows = _read_rows(path, problems, text)
+    linenos = [lineno for lineno, _ in rows]
+    return linenos, [[fields[j] for _, fields in rows] for j in range(len(header))]
 
-    node_rows = _read_rows(directory / "nodes.csv", problems)
-    edge_rows = _read_rows(directory / "edges.csv", problems)
-    od_rows = _read_rows(directory / "od.csv", problems)
-    label_rows = _read_rows(directory / "labels.csv", problems)
-    adj_rows = _read_rows(directory / "region_adjacency.csv", problems)
 
+def _record_problems(nodes, edges, od, labels, adjacency, problems: list[str]) -> None:
+    """Record every problem of these rows, one ``(lineno, *fields)`` at a
+    time, cited by file and line."""
     node_region: dict[str, str] = {}
-    node_community: dict[str, str] = {}
     community_region: dict[str, str] = {}
-    nodes_by_region: dict[str, list] = {}
-    for lineno, (region, community, node_id, lon_s, lat_s) in node_rows:
+    for lineno, region, community, node_id, lon_s, lat_s in nodes:
         if node_id in node_region:
             problems.append(f"nodes.csv:{lineno}: duplicate node id {node_id}")
             continue
@@ -336,13 +349,10 @@ def _load_per_line(directory: Path) -> Dataset:
             continue
         community_region[community] = region
         node_region[node_id] = region
-        node_community[node_id] = community
-        nodes_by_region.setdefault(region, []).append((node_id, lon, lat))
 
-    segments_by_region: dict[str, list] = {r: [] for r in nodes_by_region}
-    for lineno, (u, v, lon_s, lat_s, len_s, cls) in edge_rows:
-        lon = _parse_float(lon_s, "edges.csv", lineno, problems)
-        lat = _parse_float(lat_s, "edges.csv", lineno, problems)
+    for lineno, u, v, lon_s, lat_s, len_s, _ in edges:
+        _parse_float(lon_s, "edges.csv", lineno, problems)
+        _parse_float(lat_s, "edges.csv", lineno, problems)
         length = _parse_float(len_s, "edges.csv", lineno, problems)
         if u not in node_region:
             problems.append(f"edges.csv:{lineno}: unknown node {u}")
@@ -361,15 +371,11 @@ def _load_per_line(directory: Path) -> Dataset:
             continue
         if length <= 0:
             problems.append(f"edges.csv:{lineno}: segment {u}-{v}: non-positive length {length}")
-            continue
-        segments_by_region[node_region[u]].append((u, v, lon, lat, length, cls))
 
-    regions = set(nodes_by_region)
+    regions = set(node_region.values())
     communities = set(community_region)
-    community_od: list[ODFlow] = []
-    region_od: list[ODFlow] = []
     seen_od = set()
-    for lineno, (level, origin, dest, flow_s) in od_rows:
+    for lineno, level, origin, dest, flow_s in od:
         flow = _parse_float(flow_s, "od.csv", lineno, problems)
         if level not in ("community", "region"):
             problems.append(f"od.csv:{lineno}: unknown level {level!r}")
@@ -391,29 +397,24 @@ def _load_per_line(directory: Path) -> Dataset:
         seen_od.add((level, origin, dest))
         if flow < 0:
             problems.append(f"od.csv:{lineno}: negative flow {flow}")
-            continue
-        record = ODFlow(origin, dest, level, flow)
-        (community_od if level == "community" else region_od).append(record)
 
-    labels: dict[str, float] = {}
-    for lineno, (region, value_s) in label_rows:
+    labelled = set()
+    for lineno, region, value_s in labels:
         value = _parse_float(value_s, "labels.csv", lineno, problems)
         if region not in regions:
             problems.append(f"labels.csv:{lineno}: unknown region {region}")
             continue
-        if region in labels:
+        if region in labelled:
             problems.append(f"labels.csv:{lineno}: duplicate label for region {region}")
             continue
         if value <= 0:
             problems.append(f"labels.csv:{lineno}: emission must be positive, got {value}")
             continue
-        labels[region] = value
-    for region in sorted(regions - set(labels)):
+        labelled.add(region)
+    for region in sorted(regions - labelled):
         problems.append(f"labels.csv: region {region} has no label")
 
-    adjacency: list[tuple[str, str]] = []
-    seen_adj = set()
-    for lineno, (a, b) in adj_rows:
+    for lineno, a, b in adjacency:
         bad = False
         for area in (a, b):
             if area not in regions:
@@ -423,35 +424,6 @@ def _load_per_line(directory: Path) -> Dataset:
             continue
         if a == b:
             problems.append(f"region_adjacency.csv:{lineno}: region adjacent to itself: {a}")
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen_adj:
-            continue
-        seen_adj.add(key)
-        adjacency.append(key)
-    adjacency.sort()
-
-    road_graphs: dict[str, RoadGraph] = {}
-    if not problems:
-        for region in sorted(regions):
-            try:
-                road_graphs[region] = build_road_graph(
-                    region, nodes_by_region[region], segments_by_region[region]
-                )
-            except GraphValidationError as exc:
-                problems.append(str(exc))
-
-    if problems:
-        raise DatasetError("dataset validation failed:\n" + "\n".join(problems))
-
-    return Dataset(
-        road_graphs=road_graphs,
-        hierarchy=Hierarchy(dict(node_community), dict(community_region)),
-        community_od=community_od,
-        region_od=region_od,
-        region_adjacency=adjacency,
-        labels=labels,
-    )
 
 
 @contextmanager

@@ -651,6 +651,23 @@ def test_failed_predict_keeps_previous_output(workspace, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
 
 
+def test_loader_disagreement_exits_2_and_keeps_previous_output(
+    workspace, tmp_path, monkeypatch, caplog
+):
+    """A valid dataset the columnar checks refuse is a fault of the program,
+    not of the data."""
+    root, data, _ = workspace
+    out = tmp_path / "preds.csv"
+    argv = ("predict", "--checkpoint", root / "run" / "checkpoint.json", "--data", data)
+    assert run_cli(*argv, "--out", out) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr("roadcarbon.data._columnar_dataset", lambda *columns: None)
+    assert run_cli(*argv, "--out", out) == 2
+    assert "runtime failure" in caplog.text
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+
 def _poisoned_model(monkeypatch):
     """Make ``cmd_train`` build its model with ``head.b2`` set to NaN."""
 

@@ -734,6 +734,50 @@ def test_each_format_edit_loads_as_reference(oracle_world, tmp_path, variant, ch
     assert_loads_as_reference(tmp_path)
 
 
+def _spaced_road_class(files, pick):
+    """A road class with a space in it, which reads as ``other``."""
+    lines = files["edges.csv"].lines
+    row = _data_row(files, "edges.csv", pick)
+    _set_field(lines, row, 5, ["living street", "motorway link", '"primary "'][pick(3)])
+
+
+# the unedited world, a spaced road class and every format edit but the
+# foreign line break (which leaves a line with too many fields) keep it valid
+VALID_FORMAT_EDITS = {
+    "none": lambda files, pick: None,
+    "spaced road class": _spaced_road_class,
+    **FORMAT_EDITS,
+}
+del VALID_FORMAT_EDITS["foreign line break"]
+
+
+def _not_reached(*args):
+    raise AssertionError("a valid dataset reached the per-line checks")
+
+
+@pytest.mark.parametrize("choice", sorted(CHOICES))
+@pytest.mark.parametrize("variant", sorted(VALID_FORMAT_EDITS))
+def test_valid_dataset_never_reaches_the_per_line_checks(
+    oracle_world, tmp_path, monkeypatch, variant, choice
+):
+    files = _copy(oracle_world)
+    VALID_FORMAT_EDITS[variant](files, CHOICES[choice])
+    _write_files(tmp_path, files)
+    want = reference_load_dataset(tmp_path)
+    monkeypatch.setattr("roadcarbon.data._record_problems", _not_reached)
+    assert_bitwise_equal(load_dataset(tmp_path), want)
+
+
+def test_columnar_refusal_of_a_valid_dataset_is_not_a_dataset_error(
+    oracle_world, tmp_path, monkeypatch
+):
+    _write_files(tmp_path, _copy(oracle_world))
+    monkeypatch.setattr("roadcarbon.data._columnar_dataset", lambda *columns: None)
+    with pytest.raises(RuntimeError, match="per-line checks accept") as exc:
+        load_dataset(tmp_path)
+    assert not isinstance(exc.value, DatasetError)
+
+
 @given(params=worlds, data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_load_matches_per_line_reference(tmp_path_factory, params, data):
